@@ -357,8 +357,8 @@ int main(int argc, char** argv) {
       const std::string name(HookName(hook));
       std::printf(
           "  %-14s hits=%llu misses=%llu invalidations=%llu "
-          "uncacheable=%llu evictions=%llu admission_rejects=%llu "
-          "resizes=%llu capacity=%lld\n",
+          "uncacheable=%llu bypassed=%llu evictions=%llu "
+          "admission_rejects=%llu resizes=%llu capacity=%lld\n",
           name.c_str(),
           static_cast<unsigned long long>(
               snapshot.CounterValue("syrupd", name, "flow_cache.hits")),
@@ -368,6 +368,8 @@ int main(int argc, char** argv) {
               "syrupd", name, "flow_cache.invalidations")),
           static_cast<unsigned long long>(snapshot.CounterValue(
               "syrupd", name, "flow_cache.uncacheable")),
+          static_cast<unsigned long long>(snapshot.CounterValue(
+              "syrupd", name, "flow_cache.bypassed")),
           static_cast<unsigned long long>(snapshot.CounterValue(
               "syrupd", name, "flow_cache.evictions")),
           static_cast<unsigned long long>(snapshot.CounterValue(

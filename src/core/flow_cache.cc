@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <iterator>
 
 #include "src/common/hash.h"
 
@@ -53,6 +55,7 @@ FlowCacheCounters FlowCacheCounters::Detached() {
   c.misses = std::make_shared<obs::Counter>();
   c.invalidations = std::make_shared<obs::Counter>();
   c.uncacheable = std::make_shared<obs::Counter>();
+  c.bypassed = std::make_shared<obs::Counter>();
   c.evictions = std::make_shared<obs::Counter>();
   c.admission_rejects = std::make_shared<obs::Counter>();
   c.resizes = std::make_shared<obs::Counter>();
@@ -69,6 +72,7 @@ FlowCacheCounters FlowCacheCounters::InRegistry(
       registry.GetCounter("syrupd", hook, "flow_cache.invalidations");
   c.uncacheable =
       registry.GetCounter("syrupd", hook, "flow_cache.uncacheable");
+  c.bypassed = registry.GetCounter("syrupd", hook, "flow_cache.bypassed");
   c.evictions = registry.GetCounter("syrupd", hook, "flow_cache.evictions");
   c.admission_rejects =
       registry.GetCounter("syrupd", hook, "flow_cache.admission_rejects");
@@ -87,6 +91,8 @@ FlowCacheCounters FlowCacheCounters::InRegistryShard(
                                              "flow_cache.invalidations", shard);
   c.uncacheable = registry.GetCounterShard("syrupd", hook,
                                            "flow_cache.uncacheable", shard);
+  c.bypassed =
+      registry.GetCounterShard("syrupd", hook, "flow_cache.bypassed", shard);
   c.evictions =
       registry.GetCounterShard("syrupd", hook, "flow_cache.evictions", shard);
   c.admission_rejects = registry.GetCounterShard(
@@ -172,6 +178,118 @@ void FrequencySketch::Age() {
   ++agings_;
 }
 
+// --- ReuseSampler -----------------------------------------------------------
+
+void ReuseSampler::Reset() {
+  index_.assign(2 * kTrackedFlows, Tracked{0, 0});
+  tracked_ = 0;
+  threshold_ = kInitialThreshold;
+  std::fill(std::begin(reuse_), std::end(reuse_), 0);
+  cold_ = 0;
+}
+
+void ReuseSampler::Record(uint64_t hash, uint64_t now) {
+  const size_t mask = index_.size() - 1;
+  for (size_t i = static_cast<size_t>(hash) & mask;; i = (i + 1) & mask) {
+    Tracked& t = index_[i];
+    if (t.last == 0) {
+      break;
+    }
+    if (t.hash == hash) {
+      ++reuse_[std::bit_width(now - t.last - 1)];
+      t.last = now;
+      return;
+    }
+  }
+  ++cold_;
+  Track(hash, now);
+  if (++tracked_ > kTrackedFlows) {
+    HalveRate();
+  }
+}
+
+void ReuseSampler::Track(uint64_t hash, uint64_t now) {
+  const size_t mask = index_.size() - 1;
+  size_t i = static_cast<size_t>(hash) & mask;
+  while (index_[i].last != 0) {
+    i = (i + 1) & mask;
+  }
+  index_[i] = Tracked{hash, now};
+}
+
+void ReuseSampler::HalveRate() {
+  // Halving the threshold keeps the sample spatially uniform: a tracked
+  // flow survives iff it would have been sampled at the new rate. Repeat
+  // until the set fits (one pass almost always suffices).
+  while (tracked_ > kTrackedFlows) {
+    threshold_ /= 2;
+    std::vector<Tracked> old(index_.size(), Tracked{0, 0});
+    old.swap(index_);
+    tracked_ = 0;
+    for (const Tracked& t : old) {
+      if (t.last != 0 && t.hash < threshold_) {
+        Track(t.hash, t.last);
+        ++tracked_;
+      }
+    }
+  }
+}
+
+uint64_t ReuseSampler::evidence() const {
+  uint64_t total = cold_;
+  for (uint64_t count : reuse_) {
+    total += count;
+  }
+  return total;
+}
+
+void ReuseSampler::PredictHitRatios(double* hit_ratio,
+                                    size_t log2_max) const {
+  std::fill(hit_ratio, hit_ratio + log2_max + 1, 0.0);
+  const uint64_t total = evidence();
+  if (total == 0) {
+    return;
+  }
+  // Walk the buckets in reuse-time order. `footprint` estimates fp(2^b):
+  // across bucket b's span of 2^(b-1) lookups, P(reuse time > k) is taken
+  // as the mean of its values at the two edges.
+  const double max_flows = std::ldexp(1.0, static_cast<int>(log2_max) - 1);
+  const auto n = static_cast<double>(total);
+  uint64_t longer = total;  // accesses with reuse time > 2^(b-1)
+  double footprint = 1;     // fp(1): the accessed flow itself
+  for (size_t b = 0; b < kBuckets; ++b) {
+    const uint64_t longer_next = longer - reuse_[b];  // > 2^b
+    if (b > 0) {
+      footprint += std::ldexp(
+          (static_cast<double>(longer) + static_cast<double>(longer_next)) /
+              (2 * n),
+          static_cast<int>(b) - 1);
+    }
+    longer = longer_next;
+    if (footprint > max_flows) {
+      break;  // fp only grows: no later bucket fits either
+    }
+    if (reuse_[b] == 0) {
+      continue;
+    }
+    const auto slots = static_cast<uint64_t>(std::ceil(2 * footprint));
+    for (size_t s = static_cast<size_t>(std::bit_width(slots - 1));
+         s <= log2_max; ++s) {
+      hit_ratio[s] += static_cast<double>(reuse_[b]);
+    }
+  }
+  for (size_t s = 0; s <= log2_max; ++s) {
+    hit_ratio[s] /= n;
+  }
+}
+
+void ReuseSampler::Age() {
+  for (uint64_t& count : reuse_) {
+    count /= 2;
+  }
+  cold_ /= 2;
+}
+
 // --- FlowDecisionCache ------------------------------------------------------
 
 size_t FlowDecisionCache::RoundCapacity(size_t requested) {
@@ -189,12 +307,11 @@ void FlowDecisionCache::Configure(const FlowCacheConfig& config) {
   keys_.assign(slots * kMaxKeyBytes, 0);
   mask_ = slots - 1;
   sketch_.Resize(slots);
+  sampler_.Reset();
   occupied_ = 0;
-  window_ = 1;
-  window_lookups_ = 0;
-  window_pressure_ = 0;
-  window_live_ = 0;
-  prev_window_live_ = 0;
+  clock_ = 0;
+  window_end_ = slots;
+  bypass_ = false;
   counters_.capacity->Set(static_cast<int64_t>(slots));
 }
 
@@ -203,44 +320,76 @@ void FlowDecisionCache::BindCounters(FlowCacheCounters counters) {
   counters_.capacity->Set(static_cast<int64_t>(slots_.size()));
 }
 
-FlowDecisionCache::Key FlowDecisionCache::MakeKey(const PacketView& pkt,
-                                                  uint64_t mask) {
-  Key key;
+void FlowDecisionCache::MakeKey(const PacketView& pkt, uint64_t mask,
+                                Key* out) {
+  Key& key = *out;
+  const size_t size = pkt.size();
   const uint16_t port = pkt.DstPort();
-  const uint16_t len = static_cast<uint16_t>(pkt.size());
+  const uint16_t len = static_cast<uint16_t>(size);
   std::memcpy(key.bytes, &port, sizeof(port));
   std::memcpy(key.bytes + 2, &len, sizeof(len));
+  // The prefix is packed in a register as the bytes are gathered: loading
+  // it back from the narrow stores would stall on store forwarding, and the
+  // hash below waits on it.
+  uint64_t prefix = uint64_t{port} | uint64_t{len} << 16;
   uint32_t pos = 4;
+  // Gather run by run (masks are a few runs of adjacent bytes). A run of
+  // n <= 8 bytes that ends inside the packet, at or past byte 8, is one
+  // unaligned load of the 8 bytes ending there, shifted down; the bytes it
+  // stores past the run are overwritten by the next run or lie beyond
+  // key.len. Other runs take the byte loop, which also drops the bytes at
+  // or past the packet's end.
   uint64_t m = mask;
   while (m != 0) {
-    const unsigned i = static_cast<unsigned>(__builtin_ctzll(m));
-    m &= m - 1;
-    if (i < pkt.size()) {
-      key.bytes[pos++] = pkt.start[i];
+    const auto first = static_cast<unsigned>(std::countr_zero(m));
+    const unsigned n =
+        std::min(8u, static_cast<unsigned>(std::countr_one(m >> first)));
+    m &= ~(((uint64_t{1} << n) - 1) << first);
+    const unsigned end = first + n;
+    if (std::endian::native == std::endian::little && end >= 8 &&
+        end <= size) {
+      uint64_t word;
+      std::memcpy(&word, pkt.start + end - 8, sizeof(word));
+      word >>= 8 * (8 - n);
+      if (pos < 8) {
+        prefix |= word << (8 * pos);
+      }
+      std::memcpy(key.bytes + pos, &word, sizeof(word));
+      pos += n;
+      continue;
+    }
+    for (unsigned i = first; i < end && i < size; ++i) {
+      const uint8_t byte = pkt.start[i];
+      if (pos < 8) {
+        prefix |= uint64_t{byte} << (8 * pos);
+      }
+      key.bytes[pos++] = byte;
     }
   }
   key.len = pos;
-  uint64_t prefix = 0;
-  std::memcpy(&prefix, key.bytes, pos < 8 ? pos : 8);
   key.prefix = prefix;
-  // FNV-1a over the key bytes, finished with Mix64 for slot spread. The
-  // mask itself needn't be hashed: one cache serves one hook, and every
-  // entry behind a port was produced under that port's single deployment.
-  uint64_t h = 1469598103934665603ull;
-  for (uint32_t i = 0; i < pos; ++i) {
-    h = (h ^ key.bytes[i]) * 1099511628211ull;
+  // Mix64 over the key in 8-byte words, seeded with the length: one
+  // finalizer round for the common <= 8-byte key (a bijection, so two such
+  // keys of one length never share a hash), where byte-serial FNV-1a would
+  // chain eight multiplies. Every packet of a cacheable deployment pays
+  // this, bypassed ones included. The mask itself needn't be hashed: one
+  // cache serves one hook, and every entry behind a port was produced under
+  // that port's single deployment.
+  uint64_t h = prefix ^ (uint64_t{pos} * 0x9e3779b97f4a7c15ull);
+  for (uint32_t i = 8; i < pos; i += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, key.bytes + i, pos - i < 8 ? pos - i : 8);
+    h = Mix64(h) ^ word;
   }
   key.hash = Mix64(h);
-  return key;
 }
 
 bool FlowDecisionCache::Lookup(const Key& key, uint64_t epoch,
                                uint64_t version_sum, Decision* out,
                                bool* stale) {
   *stale = false;
-  ++window_lookups_;
-  if (window_lookups_ >= slots_.size()) {
-    AdvanceWindow();
+  if (config_.adaptive) {
+    Observe(key);
   }
   const size_t base = static_cast<size_t>(key.hash) & mask_;
   for (size_t probe = 0; probe < kProbeWindow; ++probe) {
@@ -256,11 +405,6 @@ bool FlowDecisionCache::Lookup(const Key& key, uint64_t epoch,
       --occupied_;
       *stale = true;
       return false;
-    }
-    if (entry.last_seen != window_) {
-      // First hit this window: the entry proves it is live.
-      entry.last_seen = window_;
-      ++window_live_;
     }
     *out = entry.decision;
     return true;
@@ -290,7 +434,6 @@ void FlowDecisionCache::Insert(const Key& key, Decision decision,
       entry.key_prefix = key.prefix;
       entry.key_len = key.len;
       entry.decision = decision;
-      entry.last_seen = window_;
       std::memcpy(KeyAt(slot), key.bytes, key.len);
       entry.valid = true;
       ++occupied_;
@@ -301,7 +444,6 @@ void FlowDecisionCache::Insert(const Key& key, Decision decision,
       entry.version_sum = version_sum;
       entry.epoch = epoch;
       entry.decision = decision;
-      entry.last_seen = window_;
       return;
     }
     if (entry.epoch != epoch) {
@@ -323,7 +465,6 @@ void FlowDecisionCache::Insert(const Key& key, Decision decision,
   // Probe window full of live entries: admission decides. Accounting uses
   // the single-writer IncRelaxed: each cache has exactly one dispatching
   // thread (its shard), but a metrics snapshot may Load() concurrently.
-  ++window_pressure_;
   if (config_.admission && victim_estimate != 0 &&
       sketch_.Estimate(key.hash) <= victim_estimate) {
     counters_.admission_rejects->IncRelaxed();
@@ -337,37 +478,36 @@ void FlowDecisionCache::Insert(const Key& key, Decision decision,
   entry.key_prefix = key.prefix;
   entry.key_len = key.len;
   entry.decision = decision;
-  entry.last_seen = window_;
   std::memcpy(KeyAt(victim), key.bytes, key.len);
   entry.valid = true;
 }
 
 void FlowDecisionCache::AdvanceWindow() {
-  if (config_.adaptive) {
-    // Entries that *hit* in the current or previous window approximate the
-    // live (recurring) flow population — inserted-but-never-hit entries are
-    // one-hit wonders and must not grow the table. Eviction/admission
-    // pressure counts the flows the table had no room for.
-    const size_t live =
-        static_cast<size_t>(std::max(window_live_, prev_window_live_));
-    const size_t target = live + static_cast<size_t>(window_pressure_);
-    const size_t desired =
-        std::clamp(RoundCapacity(2 * std::max<size_t>(target, 1)),
-                   floor_slots_, kMaxSlots);
-    if (desired > slots_.size()) {
-      ResizeTo(desired);
-    } else if (desired * 4 <= slots_.size() &&
-               slots_.size() > floor_slots_) {
-      // Shrink one step at a time with 4x hysteresis so a bursty lull
-      // doesn't thrash the table.
-      ResizeTo(slots_.size() / 2);
+  if (sampler_.evidence() >= ReuseSampler::kMinEvidence) {
+    double predicted[kLog2MaxSlots + 1];
+    sampler_.PredictHitRatios(predicted, kLog2MaxSlots);
+    const double reachable = predicted[kLog2MaxSlots];
+    size_t want = floor_slots_;
+    while (want < kMaxSlots &&
+           predicted[std::bit_width(want) - 1] < reachable - kSizingSlack) {
+      want *= 2;
     }
+    // Resize only toward a table that pays for itself; a stream no table
+    // size can serve leaves the table as it is and closes the gate below.
+    if (predicted[std::bit_width(want) - 1] >= kBreakEvenHitRatio) {
+      if (want > slots_.size()) {
+        ResizeTo(want);
+      } else if (want * 4 <= slots_.size() && slots_.size() > floor_slots_) {
+        // Shrink one step at a time with 4x hysteresis so a bursty lull
+        // doesn't thrash the table.
+        ResizeTo(slots_.size() / 2);
+      }
+    }
+    bypass_ =
+        predicted[std::bit_width(slots_.size()) - 1] < kBreakEvenHitRatio;
+    sampler_.Age();
   }
-  prev_window_live_ = window_live_;
-  window_live_ = 0;
-  ++window_;
-  window_lookups_ = 0;
-  window_pressure_ = 0;
+  window_end_ = clock_ + slots_.size();
 }
 
 void FlowDecisionCache::Place(const Entry& entry, const uint8_t* key_bytes) {
@@ -397,15 +537,8 @@ void FlowDecisionCache::ResizeTo(size_t new_slots) {
   // The sketch resizes (and so resets) with the table: frequency state is
   // recent-traffic state, and the admission fight restarts fairly.
   sketch_.Resize(new_slots);
-  // Rehash live entries first so a shrink keeps the useful ones when probe
-  // windows fill.
   for (size_t i = 0; i < old.size(); ++i) {
-    if (old[i].valid && window_ - old[i].last_seen <= 1) {
-      Place(old[i], old_keys.data() + i * kMaxKeyBytes);
-    }
-  }
-  for (size_t i = 0; i < old.size(); ++i) {
-    if (old[i].valid && window_ - old[i].last_seen > 1) {
+    if (old[i].valid) {
       Place(old[i], old_keys.data() + i * kMaxKeyBytes);
     }
   }

@@ -31,13 +31,19 @@
 //     rejected. A doorkeeper bit-set absorbs one-hit wonders before they
 //     touch the counters, and because the sketch is only consulted on the
 //     miss/insert path, a 100%-hit workload pays nothing for it.
-//   * Capacity adapts to the observed live-flow population: lookups are
-//     grouped into windows of one-table-length each, and each entry's
-//     *first hit* in a window bumps a live-flow counter — so "live" means
-//     recurring, and a skewed workload's one-hit cold tail never inflates
-//     the estimate. At each window boundary the table grows toward
-//     2x (live flows + eviction pressure) or shrinks when it is >4x
-//     oversized; the boundary work is O(1), no table sweep.
+//   * Sizing and bypass follow measured reuse (ReuseSampler). A
+//     SHARDS-style spatial sample of flows records each sampled flow's
+//     reuse time — lookups since its previous access — in log2 buckets,
+//     and the buckets predict the hit ratio h(S) of every power-of-two
+//     table size S. At each window boundary (one table length of lookups)
+//     the table moves to the smallest S that reaches the hit ratio
+//     reachable within kMaxSlots, and a bypass gate stays open only while
+//     h(capacity) >= kBreakEvenHitRatio. While the gate is closed the
+//     dispatcher still derives each key and feeds the sampler, but skips
+//     the table and the sketch and runs the policy directly: a low-reuse
+//     stream (uniform draws from a huge keyspace) costs one key derivation
+//     per packet instead of a DRAM-resident probe and insert, and the table
+//     never grows for it.
 //
 // The cache is deliberately not internally synchronized: in the simulator
 // each hook's dispatch runs serialized (softirq model), and this mirrors a
@@ -64,7 +70,7 @@ namespace syrup {
 
 // The one knob surface for the flow cache (Syrupd::set_flow_cache_config,
 // SyrupClient, syrupctl, and the experiment configs all traffic in this
-// struct; the old set_flow_cache_enabled(bool) is a deprecated shim).
+// struct).
 struct FlowCacheConfig {
   bool enabled = true;
   // Initial table size in slots (rounded up to a power of two). With
@@ -73,7 +79,9 @@ struct FlowCacheConfig {
   size_t capacity = 4096;
   // TinyLFU admission: cold flows cannot evict entries that out-count them.
   bool admission = true;
-  // Grow/shrink the table by the observed live-flow estimate.
+  // Size the table from sampled reuse and bypass it while the predicted
+  // hit ratio is below break-even. Without it the table is fixed and
+  // always consulted.
   bool adaptive = true;
 };
 
@@ -104,14 +112,17 @@ struct FlowCacheBinding {
 
 // Per-hook cache counters, resolved from the daemon's registry under
 // {"syrupd", <hook>, "flow_cache.*"} so syrupctl stats surfaces them.
-// hits/misses/invalidations/uncacheable are bumped by the dispatcher;
-// evictions/admission_rejects/resizes (and the capacity gauge) by the
-// cache itself once BindCounters hands it the same cells.
+// hits/misses/invalidations/uncacheable/bypassed are bumped by the
+// dispatcher; evictions/admission_rejects/resizes (and the capacity gauge)
+// by the cache itself once BindCounters hands it the same cells. With the
+// cache enabled every dispatched packet lands in exactly one of hits,
+// misses, bypassed and uncacheable (invalidations are a subset of misses).
 struct FlowCacheCounters {
   std::shared_ptr<obs::Counter> hits;
   std::shared_ptr<obs::Counter> misses;
   std::shared_ptr<obs::Counter> invalidations;
   std::shared_ptr<obs::Counter> uncacheable;
+  std::shared_ptr<obs::Counter> bypassed;
   std::shared_ptr<obs::Counter> evictions;
   std::shared_ptr<obs::Counter> admission_rejects;
   std::shared_ptr<obs::Counter> resizes;
@@ -172,9 +183,79 @@ class FrequencySketch {
   uint64_t agings_ = 0;
 };
 
+// SHARDS-style reuse sampler (Waldspurger et al., FAST '15). A flow is
+// sampled iff its key hash is below a threshold; at most kTrackedFlows
+// sampled flows are tracked, each with the lookup index of its last
+// access. The threshold starts at a 1/16 sampling rate, so a hit on a small
+// flow set rarely pays a sampler update, and halves (so does the rate)
+// whenever the tracked set overflows, dropping the flows above it: the set
+// stays bounded however many flows the hook sees. Every sampled access
+// lands in a histogram: a reuse by its reuse time t (lookups since the
+// flow's previous access) in bucket bit_width(t - 1), i.e. t in
+// (2^(b-1), 2^b]; a flow's first sampled access as cold.
+//
+// The histogram predicts the hit ratio of a table of any size. The
+// footprint fp(w), the expected number of distinct flows in w consecutive
+// lookups, is the sum over k < w of P(reuse time > k), cold accesses
+// counting as infinitely long reuses. A reuse of time t finds its flow
+// resident in a table that holds fp(t) flows, and the table keeps half its
+// slots free for the probe window, so a reuse in bucket b fits S slots when
+// 2 * fp(2^b) <= S. fp(2^b) interpolates P(reuse time > k) linearly
+// between the bucket edges, which is exact for the power-of-two step that
+// a round robin over W flows needs (2 * W slots, rounded up).
+class ReuseSampler {
+ public:
+  static constexpr size_t kTrackedFlows = 256;
+  static constexpr uint64_t kInitialThreshold = ~uint64_t{0} >> 4;
+  // Sampled accesses below which the histogram predicts nothing.
+  static constexpr uint64_t kMinEvidence = 32;
+  // Reuse-time buckets: bit_width(t - 1) for any 64-bit t.
+  static constexpr size_t kBuckets = 65;
+
+  // Clears all state and allocates the tracked-flow index.
+  void Reset();
+
+  // Records one access of the flow whose key hash is `hash` at lookup
+  // index `now` (>= 1, increasing by one per access).
+  void Observe(uint64_t hash, uint64_t now) {
+    if (hash < threshold_) {
+      Record(hash, now);
+    }
+  }
+
+  // Sampled accesses currently in the histogram.
+  uint64_t evidence() const;
+
+  // hit_ratio[s] = predicted hit ratio of a table of 2^s slots, for every
+  // s <= log2_max.
+  void PredictHitRatios(double* hit_ratio, size_t log2_max) const;
+
+  // Halves the histogram so it follows recent traffic.
+  void Age();
+
+  // Current sampling threshold (a flow is sampled iff hash < threshold).
+  uint64_t threshold() const { return threshold_; }
+
+ private:
+  struct Tracked {
+    uint64_t hash;
+    uint64_t last;  // lookup index of the last access; 0 marks a free slot
+  };
+
+  void Record(uint64_t hash, uint64_t now);
+  void Track(uint64_t hash, uint64_t now);
+  void HalveRate();
+
+  uint64_t threshold_ = kInitialThreshold;  // read by every Observe
+  std::vector<Tracked> index_;  // 2 * kTrackedFlows, linear probing
+  size_t tracked_ = 0;
+  uint64_t reuse_[kBuckets] = {};
+  uint64_t cold_ = 0;
+};
+
 // The table. Open-addressed with a short linear probe window,
 // admission-gated eviction (a megaflow cache with a TinyLFU filter, not an
-// LRU), and window-driven adaptive sizing.
+// LRU), and reuse-driven sizing with a bypass gate.
 class FlowDecisionCache {
  public:
   // Key capacity: dst port (2) + packet length (2) + up to 64 masked
@@ -182,22 +263,46 @@ class FlowDecisionCache {
   static constexpr size_t kMaxKeyBytes =
       4 + static_cast<size_t>(bpf::AnalysisFacts::kMaxTrackedPktBytes);
   static constexpr size_t kMinSlots = 16;        // floor for tiny test configs
-  static constexpr size_t kMaxSlots = 1 << 18;   // ~262k flows resident
+  static constexpr size_t kLog2MaxSlots = 18;
+  static constexpr size_t kMaxSlots = size_t{1} << kLog2MaxSlots;
   static constexpr size_t kShrinkFloor = 1024;   // adaptive shrink stops here
   static constexpr size_t kProbeWindow = 4;
+
+  // The bypass gate's break-even hit ratio. Per packet, a hit costs the
+  // cached path C (dispatch, key derivation, probe); a miss costs C plus
+  // the policy run and the insert; a bypassed packet costs the uncached
+  // path U (dispatch, policy run) plus the key derivation. Counting the
+  // insert like the dispatch work it stands beside, an open gate costs
+  // C + (1 - h) * U against ~U bypassed, so it wins iff h > C / U.
+  // BENCH_flow_cache.json measures C ("cached", at a 100% hit rate) and U
+  // ("uncached"). The cheapest cacheable policy, MicaHome (Fig. 9's home
+  // core steering), has the highest ratio; the highest over its five
+  // scenarios is socket_select_f1536's 56.7 / 86.1 = 0.66. Dearer policies
+  // break even lower (least_loaded_f256: 33.1 / 139.1 = 0.24), so for them
+  // the one constant errs toward bypassing a table that would still pay.
+  // A table grown past the caches misses dearer than U (its inserts reach
+  // DRAM), which sizing to the smallest sufficient table keeps rare.
+  static constexpr double kBreakEvenHitRatio = 0.66;
+  // A table double the size must buy more than this share of hits.
+  static constexpr double kSizingSlack = 1.0 / 32;
 
   explicit FlowDecisionCache(FlowCacheConfig config = {}) {
     Configure(config);
   }
 
-  // Applies a new configuration: resets the table to config.capacity and
-  // clears the sketch. Dropping entries is always safe — the cache is
-  // semantically transparent.
+  // Applies a new configuration: resets the table to config.capacity,
+  // clears the sketch and the sampler, and opens the gate. Dropping
+  // entries is always safe — the cache is semantically transparent.
   void Configure(const FlowCacheConfig& config);
   const FlowCacheConfig& config() const { return config_; }
 
   // Current table size in slots (moves under `adaptive`).
   size_t capacity() const { return slots_.size(); }
+
+  // True while the predicted hit ratio at the current size is below
+  // kBreakEvenHitRatio: the dispatcher then runs the policy directly and
+  // only Observe()s the key. Never set without `adaptive`.
+  bool bypassing() const { return bypass_; }
 
   // Re-homes eviction/admission/resize accounting (Syrupd binds its
   // registry-backed cells here so StatsSnapshot surfaces them).
@@ -209,11 +314,12 @@ class FlowDecisionCache {
   // of them would dominate a batch-of-1 dispatch. MakeKey sets every
   // field it returns.
   struct Key {
-    uint8_t bytes[kMaxKeyBytes];
+    uint8_t bytes[kMaxKeyBytes + 8];  // + 8: MakeKey stores whole words
     uint32_t len;
     uint64_t hash;
-    // The first min(len, 8) key bytes, zero-padded: compared inline from
-    // the hot entry so short keys never touch the cold key array.
+    // The first min(len, 8) key bytes packed into a word, zero-padded:
+    // compared inline from the hot entry so short keys never touch the
+    // cold key array.
     uint64_t prefix;
   };
 
@@ -221,12 +327,32 @@ class FlowDecisionCache {
   // pkt_read_mask): dst port, wire length, then every masked byte that is
   // inside the packet. Bytes the mask names beyond the packet's end are
   // simply absent — which is fine, because the length is part of the key.
-  static Key MakeKey(const PacketView& pkt, uint64_t mask);
+  // The dispatcher derives into its probe array in place: copying a
+  // returned Key reads it back across the narrow stores that built it.
+  static void MakeKey(const PacketView& pkt, uint64_t mask, Key* key);
+  static Key MakeKey(const PacketView& pkt, uint64_t mask) {
+    Key key;
+    MakeKey(pkt, mask, &key);
+    return key;
+  }
 
   // Warms the cache line of `hash`'s home slot. DispatchBatch hoists this
   // across a burst so the probes in the in-order phase hit warm lines.
   void PrefetchSlot(uint64_t hash) const {
     __builtin_prefetch(&slots_[static_cast<size_t>(hash) & mask_]);
+  }
+
+  // Counts one access of `key` toward sizing and the gate, and at a window
+  // boundary (one table length of accesses) re-sizes the table and re-sets
+  // the gate. Lookup calls it itself under `adaptive`; the dispatcher calls
+  // it for each packet it bypasses, so a closed gate keeps seeing the
+  // traffic that may reopen it.
+  void Observe(const Key& key) {
+    ++clock_;
+    sampler_.Observe(key.hash, clock_);
+    if (clock_ >= window_end_) {
+      AdvanceWindow();
+    }
   }
 
   // Probes for `key` stamped with the current `epoch` and `version_sum`.
@@ -269,7 +395,6 @@ class FlowDecisionCache {
     uint64_t key_prefix = 0;
     uint32_t key_len = 0;
     Decision decision = 0;
-    uint32_t last_seen = 0;  // window the entry last hit or was inserted in
     bool valid = false;
   };
 
@@ -289,14 +414,22 @@ class FlowDecisionCache {
     return keys_.data() + slot * kMaxKeyBytes;
   }
 
-  // Window boundary: estimate the live-flow population, grow/shrink the
-  // table toward 2x (live + pressure), and open the next window.
+  // Window boundary: once the sampler holds kMinEvidence accesses, move the
+  // table toward the smallest size that reaches the reachable hit ratio,
+  // set the gate from the hit ratio predicted at the resulting size, and
+  // age the sampler. Opens the next window either way.
   void AdvanceWindow();
   void ResizeTo(size_t new_slots);
   // Rehash helper: places `entry` (whose key bytes are `key_bytes`) without
   // admission (first-wins; a dropped entry on shrink counts as an eviction).
   void Place(const Entry& entry, const uint8_t* key_bytes);
 
+  // What every packet reads, gate and sampler threshold included, comes
+  // first so a bypassed packet touches one line of this object.
+  bool bypass_ = false;
+  uint64_t clock_ = 0;       // accesses observed since Configure
+  uint64_t window_end_ = 0;  // clock_ value that closes the current window
+  ReuseSampler sampler_;
   FlowCacheConfig config_;
   std::vector<Entry> slots_;
   std::vector<uint8_t> keys_;  // kMaxKeyBytes per slot, parallel to slots_
@@ -305,14 +438,6 @@ class FlowDecisionCache {
   FrequencySketch sketch_;
   FlowCacheCounters counters_ = FlowCacheCounters::Detached();
   size_t occupied_ = 0;
-  uint32_t window_ = 1;  // 0 is "never seen", so windows start at 1
-  uint64_t window_lookups_ = 0;
-  uint64_t window_pressure_ = 0;  // evictions + admission rejects
-  // Distinct entries hit so far this window / in the whole previous window:
-  // the incremental live-flow estimate (insertions deliberately don't
-  // count — an entry only proves it is live by hitting).
-  uint64_t window_live_ = 0;
-  uint64_t prev_window_live_ = 0;
 };
 
 }  // namespace syrup

@@ -59,6 +59,24 @@ void JsonStringListTo(std::ostream& os, const std::vector<std::string>& v) {
   os << ']';
 }
 
+// Brings one dispatch lane's cache in line with `wanted`: a fresh table at
+// config.capacity (or a reconfigured one, flushing it), or none at all.
+void ProvisionFlowCache(std::unique_ptr<FlowDecisionCache>& cache,
+                        const FlowCacheCounters& counters,
+                        const FlowCacheConfig& config, bool wanted) {
+  if (!wanted) {
+    cache.reset();
+    counters.capacity->Set(0);
+  } else if (cache == nullptr) {
+    cache = std::make_unique<FlowDecisionCache>(config);
+    // The cache bumps its eviction/admission/resize accounting through the
+    // same registry-backed cells, so StatsSnapshot sees one coherent set.
+    cache->BindCounters(counters);
+  } else {
+    cache->Configure(config);
+  }
+}
+
 }  // namespace
 
 std::string_view InterferenceLevelName(InterferenceFinding::Level level) {
@@ -128,9 +146,6 @@ Syrupd::Syrupd(Simulator& sim, HostStack* stack, uint64_t seed)
         metrics_.GetCounter("syrupd", hook, "decision_drop");
     hook_cells_[i].flow_cache =
         FlowCacheCounters::InRegistry(metrics_, hook);
-    // The cache bumps its eviction/admission/resize accounting through the
-    // same registry-backed cells, so StatsSnapshot sees one coherent set.
-    flow_cache_[i].BindCounters(hook_cells_[i].flow_cache);
   }
   if (stack_ != nullptr) {
     stack_->BindMetrics(metrics_);
@@ -451,6 +466,10 @@ Status Syrupd::AttachPolicy(AppId app, std::shared_ptr<PacketPolicy> policy,
   // program handles only packets directed to its corresponding port".
   std::shared_ptr<obs::Counter> app_dispatched =
       metrics_.GetCounter(it->second.name, HookName(hook), "dispatched");
+  if (cache_binding.cacheable && !cacheable_hook_[HookIndex(hook)]) {
+    cacheable_hook_[HookIndex(hook)] = true;
+    ProvisionFlowCaches(HookIndex(hook));
+  }
   for (uint16_t port : it->second.ports) {
     PortEntry entry;
     entry.policy = policy;
@@ -663,7 +682,7 @@ void Syrupd::DispatchBatch(Hook hook, std::span<const PacketView> pkts,
     const size_t n = std::min(kMaxDispatchBatch, pkts.size() - offset);
     DispatchChunk<false>(hook, pkts.subspan(offset, n),
                          out.subspan(offset, n), hook_cells_[hook_index],
-                         flow_cache_[hook_index]);
+                         flow_cache_[hook_index].get());
   }
 }
 
@@ -688,8 +707,9 @@ void Syrupd::ConfigureSharding(int shards) {
           metrics_.GetCounterShard("syrupd", hook, "decision_drop", s);
       lane.cells.flow_cache =
           FlowCacheCounters::InRegistryShard(metrics_, hook, s);
-      lane.cache.BindCounters(lane.cells.flow_cache);
-      lane.cache.Configure(flow_cache_config_);
+      ProvisionFlowCache(lane.cache, lane.cells.flow_cache,
+                         flow_cache_config_,
+                         flow_cache_config_.enabled && cacheable_hook_[i]);
     }
     shard_lanes_.push_back(std::move(lanes));
   }
@@ -709,10 +729,10 @@ void Syrupd::DispatchBatch(Hook hook, std::span<const PacketView> pkts,
       shard == 0
           ? hook_cells_[hook_index]
           : (*shard_lanes_[static_cast<size_t>(shard - 1)])[hook_index].cells;
-  FlowDecisionCache& cache =
-      shard == 0
-          ? flow_cache_[hook_index]
-          : (*shard_lanes_[static_cast<size_t>(shard - 1)])[hook_index].cache;
+  FlowDecisionCache* cache =
+      shard == 0 ? flow_cache_[hook_index].get()
+                 : (*shard_lanes_[static_cast<size_t>(shard - 1)])[hook_index]
+                       .cache.get();
   for (size_t offset = 0; offset < pkts.size();
        offset += kMaxDispatchBatch) {
     const size_t n = std::min(kMaxDispatchBatch, pkts.size() - offset);
@@ -724,7 +744,7 @@ void Syrupd::DispatchBatch(Hook hook, std::span<const PacketView> pkts,
 template <bool kSharded>
 void Syrupd::DispatchChunk(Hook hook, std::span<const PacketView> pkts,
                            std::span<Decision> out, HookCells& cells,
-                           FlowDecisionCache& cache) {
+                           FlowDecisionCache* cache) {
   // Pin the reclamation epoch once per chunk: every lock-free map lookup a
   // policy performs below (including LookupBatch on the flow-cache miss
   // path) reads slot and slab memory that writers may only recycle after
@@ -740,9 +760,12 @@ void Syrupd::DispatchChunk(Hook hook, std::span<const PacketView> pkts,
   // here: port-entry resolution (policies cannot attach or detach from
   // inside a policy, so the table cannot change mid-batch), flow-key
   // derivation, and warming the cache line each key will probe. Version
-  // sums, cache probes, policy executions, and counters all stay in the
-  // in-order phase — an uncacheable policy early in the burst may write a
-  // map a later packet's cacheable policy reads.
+  // sums, the bypass gate, cache probes, policy executions, and counters
+  // all stay in the in-order phase — an uncacheable policy early in the
+  // burst may write a map a later packet's cacheable policy reads, and the
+  // gate may flip at any packet's window boundary. The prefetch reads the
+  // gate only as a hint: a flip mid-chunk costs a wasted or a missing
+  // prefetch, never a different decision.
   // Trivial on purpose: the array stays uninitialized and only the first
   // pkts.size() elements are written. Zero-constructing 64 of these
   // (~100 bytes each) would cost more than a whole batch-of-1 dispatch.
@@ -770,9 +793,11 @@ void Syrupd::DispatchChunk(Hook hook, std::span<const PacketView> pkts,
     probe.cached = probe.entry != nullptr && cache_enabled &&
                    probe.entry->cache.cacheable;
     if (probe.cached) {
-      probe.key =
-          FlowDecisionCache::MakeKey(pkts[i], probe.entry->cache.pkt_read_mask);
-      cache.PrefetchSlot(probe.key.hash);
+      FlowDecisionCache::MakeKey(pkts[i], probe.entry->cache.pkt_read_mask,
+                                 &probe.key);
+      if (!cache->bypassing()) {
+        cache->PrefetchSlot(probe.key.hash);
+      }
     }
   }
 
@@ -820,14 +845,21 @@ void Syrupd::DispatchChunk(Hook hook, std::span<const PacketView> pkts,
     }
 
     Decision d;
-    if (probes[i].cached) {
+    if (probes[i].cached && cache->bypassing()) {
+      // The gate is closed: the table would lose at its predicted hit
+      // ratio. Keep sampling the key so the gate can reopen, and run the
+      // policy without touching the table or the sketch.
+      cache->Observe(probes[i].key);
+      bump(cells.flow_cache.bypassed);
+      d = entry->policy_raw->Schedule(pkts[i]);
+    } else if (probes[i].cached) {
       // Version sum captured before the policy may run: a map update
       // racing the execution leaves the entry we insert below already
       // stale, so it can never validate later (see flow_cache.h).
       const uint64_t version_sum = entry->cache.VersionSum();
       const uint64_t epoch = hook_epoch_[hook_index];
       bool stale = false;
-      if (cache.Lookup(probes[i].key, epoch, version_sum, &d, &stale)) {
+      if (cache->Lookup(probes[i].key, epoch, version_sum, &d, &stale)) {
         bump(cells.flow_cache.hits);
       } else {
         if (stale) {
@@ -835,7 +867,7 @@ void Syrupd::DispatchChunk(Hook hook, std::span<const PacketView> pkts,
         }
         bump(cells.flow_cache.misses);
         d = entry->policy_raw->Schedule(pkts[i]);
-        cache.Insert(probes[i].key, d, epoch, version_sum);
+        cache->Insert(probes[i].key, d, epoch, version_sum);
       }
     } else {
       if (cache_enabled) {
@@ -858,12 +890,19 @@ void Syrupd::DispatchChunk(Hook hook, std::span<const PacketView> pkts,
 void Syrupd::set_flow_cache_config(const FlowCacheConfig& config) {
   flow_cache_config_ = config;
   for (size_t i = 0; i < kNumHooks; ++i) {
-    flow_cache_[i].Configure(config);
+    ProvisionFlowCaches(i);
   }
+}
+
+void Syrupd::ProvisionFlowCaches(size_t hook_index) {
+  const bool wanted = flow_cache_config_.enabled && cacheable_hook_[hook_index];
+  ProvisionFlowCache(flow_cache_[hook_index],
+                     hook_cells_[hook_index].flow_cache, flow_cache_config_,
+                     wanted);
   for (auto& lanes : shard_lanes_) {
-    for (HookLane& lane : *lanes) {
-      lane.cache.Configure(config);
-    }
+    HookLane& lane = (*lanes)[hook_index];
+    ProvisionFlowCache(lane.cache, lane.cells.flow_cache, flow_cache_config_,
+                       wanted);
   }
 }
 

@@ -233,20 +233,13 @@ class Syrupd {
   // Per-hook memoization of verifier-proven-cacheable policies (see
   // src/core/flow_cache.h). On by default; disabling is an ablation knob —
   // cacheable programs are pure, so results are bit-identical either way.
+  // A hook gets its table (and each dispatch shard's) only once a cacheable
+  // policy is deployed there, and only while the cache is enabled.
   // Reconfiguring flushes every hook's cached decisions (always safe).
   void set_flow_cache_config(const FlowCacheConfig& config);
   const FlowCacheConfig& flow_cache_config() const {
     return flow_cache_config_;
   }
-
-  // Deprecated: the enabled bit of set_flow_cache_config. Kept as a
-  // delegating shim for callers predating FlowCacheConfig.
-  void set_flow_cache_enabled(bool enabled) {
-    FlowCacheConfig config = flow_cache_config_;
-    config.enabled = enabled;
-    set_flow_cache_config(config);
-  }
-  bool flow_cache_enabled() const { return flow_cache_config_.enabled; }
 
   // The hook's deployment epoch: bumped on every attach/remove, which
   // flushes that hook's cached decisions in O(1).
@@ -411,7 +404,7 @@ class Syrupd {
   // cells, so concurrent shards never share a line on the bump path.
   struct HookLane {
     HookCells cells;
-    FlowDecisionCache cache;
+    std::unique_ptr<FlowDecisionCache> cache;  // see flow_cache_
   };
 
   Status InstallStackHook(Hook hook);
@@ -422,10 +415,16 @@ class Syrupd {
   // the thread-safe counter discipline: shard-local cells bump with
   // IncRelaxed and the (cross-shard) per-app cell with one batched atomic
   // add per port run, instead of shard 0's plain single-writer bumps.
+  // `cache` is null while the hook has no table; only packets bound to a
+  // cacheable deployment touch it, and those imply a table.
   template <bool kSharded>
   void DispatchChunk(Hook hook, std::span<const PacketView> pkts,
                      std::span<Decision> out, HookCells& cells,
-                     FlowDecisionCache& cache);
+                     FlowDecisionCache* cache);
+  // Gives the hook's caches (shard 0 and every lane) a fresh table per
+  // flow_cache_config_ when the hook has had a cacheable deployment and the
+  // cache is enabled; frees them otherwise. The capacity gauge follows.
+  void ProvisionFlowCaches(size_t hook_index);
   StatusOr<std::vector<std::shared_ptr<Map>>> ResolveMapSlots(
       AppId app, const std::vector<bpf::MapSlot>& slots);
 
@@ -460,10 +459,12 @@ class Syrupd {
   HookCells hook_cells_[kNumHooks];
 
   // Flow-decision caches, one per hook (the simulator serializes each
-  // hook's dispatch, mirroring a per-core megaflow table). The epoch is
-  // bumped on every attach/remove at the hook: stale-epoch entries never
-  // hit, so redeploys flush without touching the table.
-  FlowDecisionCache flow_cache_[kNumHooks];
+  // hook's dispatch, mirroring a per-core megaflow table), allocated by
+  // ProvisionFlowCaches once a cacheable policy reaches the hook. The
+  // epoch is bumped on every attach/remove at the hook: stale-epoch entries
+  // never hit, so redeploys flush without touching the table.
+  std::unique_ptr<FlowDecisionCache> flow_cache_[kNumHooks];
+  bool cacheable_hook_[kNumHooks] = {};  // a cacheable policy was deployed
   uint64_t hook_epoch_[kNumHooks] = {};
   FlowCacheConfig flow_cache_config_;
 

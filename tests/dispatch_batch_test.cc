@@ -141,7 +141,8 @@ void RunDifferential(Hook hook, const std::string& policy_asm,
   // Counter-for-counter equality: the batch path may not change *when*
   // policies run or cache entries move, only amortize the bookkeeping.
   for (const char* name : {"hits", "misses", "invalidations", "uncacheable",
-                           "evictions", "admission_rejects", "resizes"}) {
+                           "bypassed", "evictions", "admission_rejects",
+                           "resizes"}) {
     EXPECT_EQ(single.Counter(hook, name), batch.Counter(hook, name))
         << "flow_cache." << name;
   }
@@ -227,12 +228,121 @@ TEST(DispatchBatch, TinyAdaptiveCacheStillMatchesSingle) {
     const Decision d = single.stack.hooks().socket_select(views[i]);
     ASSERT_EQ(d, batch_out[i]) << "packet " << i;
   }
-  for (const char* name : {"hits", "misses", "evictions",
+  for (const char* name : {"hits", "misses", "bypassed", "evictions",
                            "admission_rejects", "resizes"}) {
     EXPECT_EQ(single.Counter(Hook::kSocketSelect, name),
               batch.Counter(Hook::kSocketSelect, name))
         << "flow_cache." << name;
   }
+}
+
+// Every counter a gate flip can move, compared side against side.
+void ExpectSameCounters(Side& a, Side& b, Hook hook) {
+  for (const char* name : {"hits", "misses", "bypassed", "uncacheable",
+                           "evictions", "admission_rejects", "resizes"}) {
+    EXPECT_EQ(a.Counter(hook, name), b.Counter(hook, name))
+        << "flow_cache." << name;
+  }
+  EXPECT_EQ(a.syrupd.dispatch_stats(hook).dispatched,
+            b.syrupd.dispatch_stats(hook).dispatched);
+  EXPECT_EQ(a.syrupd.StatsSnapshot().CounterValue("a", HookName(hook),
+                                                  "policy.invocations"),
+            b.syrupd.StatsSnapshot().CounterValue("a", HookName(hook),
+                                                  "policy.invocations"));
+}
+
+std::vector<Packet> OneShotPackets(uint32_t first, size_t count) {
+  std::vector<Packet> packets;
+  for (size_t i = 0; i < count; ++i) {
+    packets.push_back(
+        MakePacket(9000, (first + static_cast<uint32_t>(i)) * 2654435761u));
+  }
+  return packets;
+}
+
+TEST(DispatchBatch, GateFlipInsideAChunkMatchesSingle) {
+  // A 16-slot table decides at every 16th access once the sampler holds
+  // enough evidence, and a one-shot stream then closes the gate. Eight
+  // single dispatches first put every decision point 8 packets off a
+  // 64-packet chunk edge, so the flip falls inside a chunk.
+  FlowCacheConfig config;
+  config.capacity = FlowDecisionCache::kMinSlots;
+  Side single, batch;
+  for (Side* side : {&single, &batch}) {
+    side->syrupd.set_flow_cache_config(config);
+    ASSERT_TRUE(side->syrupd
+                    .DeployPolicyFile(side->app, MicaHomePolicyAsm(6),
+                                      Hook::kSocketSelect)
+                    .ok());
+  }
+  const std::vector<Packet> packets = OneShotPackets(0, 8 + 64 * 64);
+  std::vector<PacketView> views;
+  for (const Packet& pkt : packets) {
+    views.push_back(PacketView::Of(pkt));
+  }
+  std::vector<Decision> batch_out(views.size(), 0);
+  for (size_t i = 0; i < 8; ++i) {
+    batch_out[i] = batch.stack.hooks().socket_select(views[i]);
+  }
+  bool flipped_inside = false;
+  for (size_t pos = 8; pos < views.size(); pos += 64) {
+    const uint64_t before = batch.Counter(Hook::kSocketSelect, "bypassed");
+    batch.syrupd.DispatchBatch(
+        Hook::kSocketSelect, std::span<const PacketView>(&views[pos], 64),
+        std::span<Decision>(&batch_out[pos], 64));
+    const uint64_t in_chunk =
+        batch.Counter(Hook::kSocketSelect, "bypassed") - before;
+    flipped_inside = flipped_inside || (in_chunk > 0 && in_chunk < 64);
+  }
+  for (size_t i = 0; i < views.size(); ++i) {
+    ASSERT_EQ(single.stack.hooks().socket_select(views[i]), batch_out[i])
+        << "packet " << i;
+  }
+  EXPECT_TRUE(flipped_inside);
+  ExpectSameCounters(single, batch, Hook::kSocketSelect);
+}
+
+TEST(DispatchBatch, ShardedLanesKeepIndependentDeterministicGates) {
+  // Lane 1 sees a one-shot stream that closes its gate; lane 0 must keep
+  // its own gate open. One side dispatches whole chunks, the other one
+  // packet at a time, and both must agree counter for counter.
+  constexpr Hook kHook = Hook::kXdpSkb;
+  FlowCacheConfig config;
+  config.capacity = FlowDecisionCache::kMinSlots;
+  Side chunked, single;
+  for (Side* side : {&chunked, &single}) {
+    side->syrupd.set_flow_cache_config(config);
+    side->syrupd.ConfigureSharding(2);  // lanes get tables at deploy
+    ASSERT_TRUE(side->syrupd
+                    .DeployPolicyFile(side->app, MicaHomePolicyAsm(6), kHook)
+                    .ok());
+  }
+  auto run = [&](const std::vector<Packet>& packets, int shard) {
+    std::vector<PacketView> views;
+    for (const Packet& pkt : packets) {
+      views.push_back(PacketView::Of(pkt));
+    }
+    std::vector<Decision> chunked_out(views.size(), 0);
+    chunked.syrupd.DispatchBatch(kHook, views, chunked_out, shard);
+    for (size_t i = 0; i < views.size(); ++i) {
+      Decision d = 0;
+      single.syrupd.DispatchBatch(
+          kHook, std::span<const PacketView>(&views[i], 1),
+          std::span<Decision>(&d, 1), shard);
+      ASSERT_EQ(d, chunked_out[i]) << "shard " << shard << " packet " << i;
+    }
+  };
+
+  run(OneShotPackets(0, 4096), 1);
+  const uint64_t lane1_bypassed = chunked.Counter(kHook, "bypassed");
+  EXPECT_GT(lane1_bypassed, 0u);
+  ExpectSameCounters(chunked, single, kHook);
+
+  // Fewer accesses than the first decision needs: lane 0's gate is still
+  // open whatever lane 1 decided.
+  run(OneShotPackets(100'000, 31), 0);
+  EXPECT_EQ(chunked.Counter(kHook, "bypassed"), lane1_bypassed);
+  ExpectSameCounters(chunked, single, kHook);
 }
 
 TEST(DispatchBatch, OversizedBatchIsChunkedTransparently) {

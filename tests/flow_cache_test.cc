@@ -3,8 +3,13 @@
 // map-version invalidation, epoch flush on redeploy, transparency).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "src/bpf/assembler.h"
 #include "src/bpf/verifier.h"
+#include "src/common/rng.h"
 #include "src/core/flow_cache.h"
 #include "src/core/syrup_api.h"
 #include "src/core/syrupd.h"
@@ -129,6 +134,57 @@ TEST(FlowDecisionCache, MaskedBytesBeyondPacketEndAreAbsent) {
   const FlowDecisionCache::Key key =
       FlowDecisionCache::MakeKey(view, 0xF00000u);  // bytes 20-23: past end
   EXPECT_EQ(key.len, 4u);  // port + length only
+}
+
+// MakeKey gathers masked bytes run by run with word loads; a plain byte
+// loop is the reference. Random masks (single bytes, short and long runs)
+// over packets of every length up to past the read window, so runs start,
+// end and get cut at the packet's end in every position.
+TEST(FlowDecisionCache, KeyGatherMatchesTheByteByByteReference) {
+  Rng rng(42);
+  for (int trial = 0; trial < 2000; ++trial) {
+    uint64_t mask = 0;
+    for (int run = 0; run < 1 + static_cast<int>(rng.NextBounded(4)); ++run) {
+      const unsigned first = static_cast<unsigned>(rng.NextBounded(64));
+      const unsigned n = 1 + static_cast<unsigned>(rng.NextBounded(12));
+      for (unsigned i = first; i < first + n && i < 64; ++i) {
+        mask |= uint64_t{1} << i;
+      }
+    }
+    std::vector<uint8_t> wire(80);
+    for (uint8_t& byte : wire) {
+      byte = static_cast<uint8_t>(rng.NextBounded(256));
+    }
+    const size_t size = rng.NextBounded(wire.size() + 1);
+    const PacketView view{wire.data(), wire.data() + size};
+    const FlowDecisionCache::Key key = FlowDecisionCache::MakeKey(view, mask);
+
+    std::vector<uint8_t> expected(4);
+    const uint16_t port = view.DstPort();
+    const auto len = static_cast<uint16_t>(size);
+    std::memcpy(expected.data(), &port, sizeof(port));
+    std::memcpy(expected.data() + 2, &len, sizeof(len));
+    for (unsigned i = 0; i < 64; ++i) {
+      if ((mask >> i & 1) != 0 && i < size) {
+        expected.push_back(wire[i]);
+      }
+    }
+    ASSERT_EQ(key.len, expected.size()) << "mask " << mask << " size " << size;
+    EXPECT_EQ(std::vector<uint8_t>(key.bytes, key.bytes + key.len), expected)
+        << "mask " << mask << " size " << size;
+    uint64_t prefix = 0;
+    std::memcpy(&prefix, expected.data(), std::min<size_t>(8, key.len));
+    EXPECT_EQ(key.prefix, prefix) << "mask " << mask << " size " << size;
+
+    // The hash depends on the key bytes only: scrambling every unmasked
+    // byte inside the packet leaves it unchanged.
+    for (unsigned i = 4; i < size; ++i) {
+      if (i >= 64 || (mask >> i & 1) == 0) {
+        wire[i] ^= 0x5a;
+      }
+    }
+    EXPECT_EQ(FlowDecisionCache::MakeKey(view, mask).hash, key.hash);
+  }
 }
 
 TEST(FlowDecisionCache, HitRequiresExactKeyEpochAndVersion) {
@@ -400,7 +456,7 @@ TEST(FlowCacheAdaptive, ShrinksWhenThePopulationCollapses) {
   EXPECT_LT(cache.capacity(), 4096u);
   EXPECT_GE(cache.capacity(), FlowDecisionCache::kShrinkFloor);
   EXPECT_GT(counters.resizes->value, 0u);
-  // The live entry survived the shrink's live-first rehash.
+  // The live entry survived the shrink's rehash.
   Decision d = 0;
   bool stale = false;
   EXPECT_TRUE(cache.Lookup(KeyFor(1), 1, 0, &d, &stale));
@@ -422,6 +478,115 @@ TEST(FlowCacheAdaptive, FixedSizeWhenDisabled) {
     }
   }
   EXPECT_EQ(cache.capacity(), FlowDecisionCache::kMinSlots);
+}
+
+// --- reuse sampler and bypass gate -------------------------------------------
+
+enum class Outcome { kHit, kMiss, kBypassed };
+
+// One access of `flow` the way Syrupd::DispatchChunk makes it: a closed gate
+// only feeds the sampler; an open one probes and inserts on a miss.
+Outcome Access(FlowDecisionCache& cache, uint32_t flow) {
+  const FlowDecisionCache::Key key = KeyFor(flow);
+  if (cache.bypassing()) {
+    cache.Observe(key);
+    return Outcome::kBypassed;
+  }
+  Decision d = 0;
+  bool stale = false;
+  if (cache.Lookup(key, 1, 0, &d, &stale)) {
+    return Outcome::kHit;
+  }
+  cache.Insert(key, Decision{flow % 6}, 1, 0);
+  return Outcome::kMiss;
+}
+
+TEST(ReuseSampler, RoundRobinPredictsTheWorkingSetSize) {
+  ReuseSampler sampler;
+  sampler.Reset();
+  // 256 flows in round robin: every reuse time is exactly 256 lookups, so
+  // every reuse fits a table of 2 * 256 slots and none fits a smaller one.
+  uint64_t now = 0;
+  for (int pass = 0; pass < 8; ++pass) {
+    for (uint32_t flow = 0; flow < 256; ++flow) {
+      sampler.Observe(KeyFor(flow).hash, ++now);
+    }
+  }
+  double predicted[FlowDecisionCache::kLog2MaxSlots + 1];
+  sampler.PredictHitRatios(predicted, FlowDecisionCache::kLog2MaxSlots);
+  EXPECT_EQ(predicted[8], 0.0);                 // 256 slots
+  EXPECT_NEAR(predicted[9], 7.0 / 8.0, 1e-9);   // 512: all but the cold pass
+  EXPECT_EQ(predicted[9], predicted[FlowDecisionCache::kLog2MaxSlots]);
+}
+
+TEST(ReuseSampler, TrackedSetStaysBoundedByHalvingTheRate) {
+  ReuseSampler sampler;
+  sampler.Reset();
+  for (uint32_t flow = 0; flow < 100'000; ++flow) {
+    sampler.Observe(KeyFor(flow).hash, flow + 1);
+  }
+  // ~256 / 100k of the hash space survives: the rate halved ~9 times.
+  EXPECT_LT(sampler.threshold(), ~uint64_t{0} >> 7);
+  EXPECT_GT(sampler.threshold(), ~uint64_t{0} >> 12);
+  EXPECT_GT(sampler.evidence(), ReuseSampler::kTrackedFlows);
+}
+
+TEST(FlowCacheGate, OneShotStreamClosesTheGateAndKeepsCapacity) {
+  FlowCacheConfig config;  // 4096 slots, adaptive
+  FlowDecisionCache cache(config);
+  FlowCacheCounters counters = FlowCacheCounters::Detached();
+  cache.BindCounters(counters);
+  EXPECT_FALSE(cache.bypassing());  // open until the sampler has evidence
+
+  // Uniform draws would recur; a pure one-shot stream never does, which
+  // no table size can serve.
+  size_t bypassed = 0;
+  for (uint32_t flow = 0; flow < 200'000; ++flow) {
+    if (Access(cache, flow) == Outcome::kBypassed) {
+      ++bypassed;
+    }
+  }
+  EXPECT_TRUE(cache.bypassing());
+  // Closed at the first window boundary and never reopened.
+  EXPECT_EQ(bypassed, 200'000u - config.capacity);
+  EXPECT_EQ(cache.capacity(), config.capacity);
+  EXPECT_EQ(counters.resizes->value, 0u);
+  EXPECT_EQ(counters.capacity->value,
+            static_cast<int64_t>(config.capacity));
+}
+
+TEST(FlowCacheGate, RecurringWorkingSetReopensTheGateAndGrows) {
+  FlowCacheConfig config;  // 4096 slots, adaptive
+  FlowDecisionCache cache(config);
+  FlowCacheCounters counters = FlowCacheCounters::Detached();
+  cache.BindCounters(counters);
+
+  // 16k flows in round robin: four times what the table can hold. The
+  // first pass is all cold accesses, so the gate closes.
+  constexpr uint32_t kFlows = 16384;
+  for (uint32_t flow = 0; flow < kFlows; ++flow) {
+    (void)Access(cache, flow);
+  }
+  EXPECT_TRUE(cache.bypassing());
+  EXPECT_EQ(cache.capacity(), config.capacity);
+
+  // The recurrences reach the sampler while bypassed: the gate reopens and
+  // the table grows to hold the working set.
+  for (int pass = 0; pass < 4; ++pass) {
+    for (uint32_t flow = 0; flow < kFlows; ++flow) {
+      (void)Access(cache, flow);
+    }
+  }
+  EXPECT_FALSE(cache.bypassing());
+  EXPECT_GE(cache.capacity(), 2 * static_cast<size_t>(kFlows));
+  EXPECT_GT(counters.resizes->value, 0u);
+  size_t hits = 0;
+  for (uint32_t flow = 0; flow < kFlows; ++flow) {
+    if (Access(cache, flow) == Outcome::kHit) {
+      ++hits;
+    }
+  }
+  EXPECT_GT(hits, kFlows * 9 / 10);
 }
 
 TEST(FlowCacheConfig_, ConfigureRoundsAndResets) {
@@ -578,7 +743,9 @@ TEST_F(FlowCacheDispatchTest, NativePoliciesAreNeverCached) {
 }
 
 TEST_F(FlowCacheDispatchTest, DisabledCacheExecutesEveryPacket) {
-  syrupd_.set_flow_cache_enabled(false);
+  FlowCacheConfig config;
+  config.enabled = false;
+  syrupd_.set_flow_cache_config(config);
   const AppId app = syrupd_.RegisterApp("a", 1000, 9000).value();
   ASSERT_TRUE(syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(6),
                                        Hook::kSocketSelect)
@@ -666,20 +833,68 @@ TEST_F(FlowCacheDispatchTest, AdmissionRejectCounterReachesSnapshot) {
   EXPECT_GT(CacheCounter("admission_rejects"), 0u);
 }
 
-TEST_F(FlowCacheDispatchTest, DeprecatedEnabledShimPreservesOtherKnobs) {
+TEST_F(FlowCacheDispatchTest, LedgerAccountsForEveryDispatchedPacket) {
+  const AppId cached = syrupd_.RegisterApp("a", 1000, 9000).value();
+  const AppId stateful = syrupd_.RegisterApp("b", 1001, 9001).value();
+  ASSERT_TRUE(syrupd_.DeployPolicyFile(cached, MicaHomePolicyAsm(6),
+                                       Hook::kSocketSelect)
+                  .ok());
+  ASSERT_TRUE(syrupd_.DeployPolicyFile(stateful, RoundRobinPolicyAsm(4),
+                                       Hook::kSocketSelect)
+                  .ok());
+  // A repeated flow (hits), a one-shot stream (misses, then bypassed once
+  // the gate closes) and an uncacheable app, interleaved on one hook.
+  for (uint32_t i = 0; i < 20'000; ++i) {
+    const Packet pkt = i % 3 == 0   ? MakePacket(9000, 7)
+                       : i % 3 == 1 ? MakePacket(9000, 100'000 + i)
+                                    : MakePacket(9001, i);
+    (void)stack_.hooks().socket_select(PacketView::Of(pkt));
+  }
+  const uint64_t hits = CacheCounter("hits");
+  const uint64_t misses = CacheCounter("misses");
+  const uint64_t bypassed = CacheCounter("bypassed");
+  const uint64_t uncacheable = CacheCounter("uncacheable");
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(bypassed, 0u);
+  EXPECT_GT(uncacheable, 0u);
+  EXPECT_EQ(hits + misses + bypassed + uncacheable,
+            syrupd_.dispatch_stats(Hook::kSocketSelect).dispatched);
+}
+
+TEST_F(FlowCacheDispatchTest, TablesAreAllocatedOnFirstCacheableDeploy) {
+  auto capacity = [&](Hook hook) {
+    return syrupd_.StatsSnapshot().GaugeValue("syrupd", HookName(hook),
+                                              "flow_cache.capacity");
+  };
   FlowCacheConfig config;
   config.capacity = 512;
-  config.admission = false;
   syrupd_.set_flow_cache_config(config);
-  // The old bool toggle must only flip `enabled`, keeping the typed knobs.
-  syrupd_.set_flow_cache_enabled(false);
-  EXPECT_FALSE(syrupd_.flow_cache_config().enabled);
-  EXPECT_FALSE(syrupd_.flow_cache_enabled());
-  EXPECT_EQ(syrupd_.flow_cache_config().capacity, 512u);
-  EXPECT_FALSE(syrupd_.flow_cache_config().admission);
-  syrupd_.set_flow_cache_enabled(true);
-  EXPECT_TRUE(syrupd_.flow_cache_config().enabled);
-  EXPECT_EQ(syrupd_.flow_cache_config().capacity, 512u);
+  EXPECT_EQ(capacity(Hook::kSocketSelect), 0);
+
+  const AppId app = syrupd_.RegisterApp("a", 1000, 9000).value();
+  ASSERT_TRUE(syrupd_.DeployPolicyFile(app, RoundRobinPolicyAsm(4),
+                                       Hook::kSocketSelect)
+                  .ok());
+  EXPECT_EQ(capacity(Hook::kSocketSelect), 0);  // uncacheable: no table
+
+  ASSERT_TRUE(syrupd_.DeployPolicyFile(app, MicaHomePolicyAsm(6),
+                                       Hook::kSocketSelect)
+                  .ok());
+  EXPECT_EQ(capacity(Hook::kSocketSelect), 512);
+  EXPECT_EQ(capacity(Hook::kXdpSkb), 0);
+
+  // Disabling frees the table; re-enabling gives the hook a fresh one.
+  config.enabled = false;
+  syrupd_.set_flow_cache_config(config);
+  EXPECT_EQ(capacity(Hook::kSocketSelect), 0);
+  config.enabled = true;
+  syrupd_.set_flow_cache_config(config);
+  EXPECT_EQ(capacity(Hook::kSocketSelect), 512);
+  const Packet pkt = MakePacket(9000, 5);
+  (void)stack_.hooks().socket_select(PacketView::Of(pkt));
+  (void)stack_.hooks().socket_select(PacketView::Of(pkt));
+  EXPECT_EQ(CacheCounter("hits"), 1u);
 }
 
 TEST_F(FlowCacheDispatchTest, ClientConfiguresTheDaemonCache) {
