@@ -26,7 +26,6 @@
 #include "src/apps/rocksdb_server.h"
 #include "src/bpf/assembler.h"
 #include "src/bpf/verifier.h"
-#include "src/sched/pinned_scheduler.h"
 #include "src/sim/simulator.h"
 #include "src/syrup.h"
 
@@ -234,7 +233,8 @@ int main(int argc, char** argv) {
   }
 
   // A multi-tenant deployment to inspect: "rocksdb" runs SCAN Avoid at
-  // socket-select plus a token policy file at XDP_SKB; "analytics" shares
+  // socket-select, a token policy file at XDP_SKB and the GetPriority
+  // classifier on a ghOSt agent for its worker threads; "analytics" shares
   // the host with round robin on its own port. The typed handles own the
   // deployments; holding them in main keeps the policies attached for the
   // whole run.
@@ -257,13 +257,30 @@ int main(int argc, char** argv) {
                                     Hook::kSocketSelect)
           .value();
 
+  // The server publishes each worker's request type (tid -> ReqType) into
+  // thread_type_map; the thread policy reads it (paper §5.3, Fig. 8).
+  MapSpec types_spec;
+  types_spec.type = MapType::kHash;
+  types_spec.max_entries = 64;
+  types_spec.name = "thread_type_map";
+  std::shared_ptr<Map> thread_types = CreateMap(types_spec).value();
+  SYRUP_CHECK_OK(syrupd.registry().Pin("/syrup/rocksdb/thread_type_map",
+                                       thread_types, 1000));
   Machine machine(sim, 4);
-  PinnedScheduler scheduler(machine);
-  machine.SetScheduler(&scheduler);
+  GhostConfig ghost_config;
+  ghost_config.num_managed_cores = 3;  // the fourth core hosts the agent
+  SYRUP_CHECK_OK(syrupd
+                     .DeployThreadPolicyFile(
+                         rocksdb,
+                         GetPriorityThreadPolicyAsm(
+                             "/syrup/rocksdb/thread_type_map"),
+                         machine, ghost_config)
+                     .status());
   RocksDbConfig server_config;
   server_config.num_threads = 4;
   server_config.scan_map =
       syrupd.registry().Open("/syrup/rocksdb/scan_map", 1000).value();
+  server_config.thread_type_map = thread_types;
   RocksDbServer server(sim, stack, machine, server_config);
 
   // The analytics tenant has no server object; bare reuseport sockets on

@@ -86,12 +86,13 @@ struct VerifierStats {
 // rewritten to an unconditional jump (or dropped). Both vectors are sized
 // to the program; `edges` is meaningful for conditional jumps only.
 //
-// The purity summary feeds the flow-decision cache (docs/DESIGN.md): a
-// packet program is `cacheable` iff its result is a pure function of the
-// packet bytes it reads plus the current contents of the maps it reads —
-// no map writes/deletes, no randomness, no clock reads, no tail calls,
-// and every packet read at a statically bounded offset below 64 bytes.
-// `pkt_read_mask` (bit i set = packet byte i may be read on some path)
+// The purity summary feeds the two decision memos (docs/DESIGN.md). A
+// program is `pure` iff its result is a function of its arguments plus the
+// current contents of the maps it reads: no map writes/deletes, no stores
+// or atomics through value pointers, no randomness, no clock reads, no
+// tail calls. A packet program is `cacheable` (per flow) iff it is pure
+// and every packet read sits at a statically bounded offset below 64
+// bytes; a pure thread program is memoized per tid. `pkt_read_mask` (bit i set = packet byte i may be read on some path)
 // plus the packet length then form an exact memoization key, and
 // `read_maps` names the program map indices whose version stamps must be
 // folded into each cached entry's invalidation signature.
@@ -120,6 +121,7 @@ struct AnalysisFacts {
   std::vector<uint8_t> edges;    // OR of feasible edges per cond jump
 
   // --- purity / read-set summary (flow-decision cache) -------------------
+  bool pure = false;               // no side effects; see above
   bool cacheable = false;          // decision memoizable per flow key
   uint64_t pkt_read_mask = 0;      // bit i: packet byte i may be read
   std::vector<int32_t> read_maps;  // program map indices read via lookup
@@ -131,8 +133,8 @@ struct AnalysisFacts {
   // stamps). Sorted, deduplicated, may overlap read_maps.
   std::vector<int32_t> write_maps;
   std::vector<int32_t> atomic_maps;
-  // Why this program is not flow-cacheable (empty when cacheable, or when
-  // the cause is context-level — thread programs are never cached).
+  // Why a packet program is not flow-cacheable (empty when cacheable, and
+  // always empty for thread programs, which have no flow key).
   std::vector<CacheBlocker> cache_blockers;
 
   // --- cost summary (post-acceptance WCET pass, see cost_model.h) --------

@@ -20,23 +20,19 @@ inline size_t SketchIndex(uint64_t hash, unsigned probe, size_t mask) {
   return static_cast<size_t>(h1 + (probe + 1) * h2) & mask;
 }
 
-}  // namespace
-
-FlowCacheBinding FlowCacheBinding::ForProgram(
-    const bpf::AnalysisFacts& facts, const bpf::Program& program) {
-  FlowCacheBinding binding;
-  if (!facts.cacheable) {
-    return binding;
-  }
-  // Defense in depth: `cacheable` already implies a pure program, but
-  // read_maps alone never was the complete map footprint — a program with
-  // writes or in-place atomics must not be memoized even if a bug upstream
-  // left the cacheable bit set, so consult the write sets explicitly.
+// Resolves the read set of a program whose facts already allow memoizing
+// it (pure, or cacheable, which implies pure).
+FlowCacheBinding ResolveReadSet(const bpf::AnalysisFacts& facts,
+                                const bpf::Program& program) {
+  // Defense in depth: purity already excludes map writes, but read_maps
+  // alone never was the complete map footprint — a program with writes or
+  // in-place atomics must not be memoized even if a bug upstream left the
+  // purity bit set, so consult the write sets explicitly.
   if (!facts.write_maps.empty() || !facts.atomic_maps.empty()) {
-    return binding;
+    return FlowCacheBinding{};
   }
+  FlowCacheBinding binding;
   binding.cacheable = true;
-  binding.pkt_read_mask = facts.pkt_read_mask;
   binding.read_maps.reserve(facts.read_maps.size());
   for (int32_t index : facts.read_maps) {
     if (index < 0 || static_cast<size_t>(index) >= program.maps.size()) {
@@ -47,6 +43,25 @@ FlowCacheBinding FlowCacheBinding::ForProgram(
     binding.read_maps.push_back(program.maps[static_cast<size_t>(index)].get());
   }
   return binding;
+}
+
+}  // namespace
+
+FlowCacheBinding FlowCacheBinding::ForProgram(
+    const bpf::AnalysisFacts& facts, const bpf::Program& program) {
+  if (!facts.cacheable) {
+    return FlowCacheBinding{};
+  }
+  FlowCacheBinding binding = ResolveReadSet(facts, program);
+  if (binding.cacheable) {
+    binding.pkt_read_mask = facts.pkt_read_mask;
+  }
+  return binding;
+}
+
+FlowCacheBinding FlowCacheBinding::ForPureProgram(
+    const bpf::AnalysisFacts& facts, const bpf::Program& program) {
+  return facts.pure ? ResolveReadSet(facts, program) : FlowCacheBinding{};
 }
 
 FlowCacheCounters FlowCacheCounters::Detached() {

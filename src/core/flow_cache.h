@@ -88,7 +88,9 @@ struct FlowCacheConfig {
 // What a deployment needs to consult the cache, derived once at attach
 // time from the verifier's facts. Maps are raw observers: the deployment's
 // policy owns the program which owns the map shared_ptrs, and the cache
-// binding dies with the PortEntry.
+// binding dies with the PortEntry. The thread-policy memo
+// (BytecodeGhostPolicy) keys on the tid instead of a flow key and uses the
+// same read-set stamp, through ForPureProgram.
 struct FlowCacheBinding {
   bool cacheable = false;
   uint64_t pkt_read_mask = 0;
@@ -108,6 +110,12 @@ struct FlowCacheBinding {
   // facts say so; read-set indices resolve against the program's map table.
   static FlowCacheBinding ForProgram(const bpf::AnalysisFacts& facts,
                                      const bpf::Program& program);
+
+  // The read-set half of ForProgram, for any context: `cacheable` (the
+  // result may be memoized under a caller-chosen key) iff the facts say
+  // the program is pure and its read set resolves. pkt_read_mask stays 0.
+  static FlowCacheBinding ForPureProgram(const bpf::AnalysisFacts& facts,
+                                         const bpf::Program& program);
 };
 
 // Per-hook cache counters, resolved from the daemon's registry under

@@ -19,14 +19,17 @@
 #define SYRUP_SRC_CORE_POLICY_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/bpf/compiler.h"
 #include "src/bpf/interpreter.h"
 #include "src/bpf/program.h"
 #include "src/common/decision.h"
 #include "src/common/status.h"
+#include "src/core/flow_cache.h"
 #include "src/ghost/ghost.h"
 #include "src/net/packet.h"
 #include "src/obs/metrics.h"
@@ -42,6 +45,10 @@ struct PolicyMetrics {
   std::shared_ptr<obs::Counter> insns;
   std::shared_ptr<obs::Counter> helper_calls;
   std::shared_ptr<obs::Counter> runtime_faults;
+  // Classifier calls BytecodeGhostPolicy served from its per-tid memo, not
+  // counted in `invocations`. Detached unless the thread hook's deploy
+  // registers it (packet hooks memoize in the flow cache instead).
+  std::shared_ptr<obs::Counter> memo_hits = std::make_shared<obs::Counter>();
 
   static PolicyMetrics Detached() {
     PolicyMetrics m;
@@ -151,17 +158,29 @@ class BytecodePacketPolicy : public PacketPolicy {
 // runnable thread of the smallest class and preempts whenever a runnable
 // thread's class is strictly smaller than the running thread's — with a
 // two-class map this is exactly GetPriorityGhostPolicy.
+//
+// One agent pass asks for the same threads' classes many times (every
+// runnable thread per idle core, two per waiter x busy core) while nothing
+// writes the maps. When the verifier proves the program pure (`memo` from
+// FlowCacheBinding::ForPureProgram), ClassOf memoizes each tid's class
+// stamped with the read-set maps' version sum, the flow cache's protocol:
+// Map::Update/Delete bump a version, so a class is reused only while every
+// map it read is unchanged — mid-pass writes (a preemption's segment-done
+// callback republishing a thread's type) included. Impure programs run on
+// every call.
 class BytecodeGhostPolicy : public GhostPolicy {
  public:
   BytecodeGhostPolicy(
       std::shared_ptr<const bpf::Program> program, bpf::ExecEnv env,
       PolicyMetrics metrics = PolicyMetrics::Detached(),
-      std::shared_ptr<const bpf::CompiledProgram> compiled = nullptr)
+      std::shared_ptr<const bpf::CompiledProgram> compiled = nullptr,
+      FlowCacheBinding memo = {})
       : program_(std::move(program)),
         compiled_(std::move(compiled)),
         interp_(env),
         exec_(std::move(env)),
-        metrics_(std::move(metrics)) {}
+        metrics_(std::move(metrics)),
+        memo_binding_(std::move(memo)) {}
 
   int PickThread(int /*core*/,
                  const std::vector<GhostThreadInfo>& runnable) override {
@@ -187,10 +206,54 @@ class BytecodeGhostPolicy : public GhostPolicy {
 
   std::string_view name() const { return program_->name; }
 
-  // Runs the classifier for one thread. Faults degrade to class 1 (the
-  // "urgent" default for unclassified threads), mirroring the native
-  // policy's missing-map-entry behavior.
+  // The class of one thread: the memoized class while the program is pure
+  // and its read set is unchanged since the entry was stamped, else a
+  // classifier run. Faults degrade to class 1 (the "urgent" default for
+  // unclassified threads), mirroring the native policy's missing-map-entry
+  // behavior, and are never memoized.
   uint64_t ClassOf(int tid) {
+    if (!memo_binding_.cacheable || tid < 0 || tid >= kMaxMemoTid) {
+      return Classify(tid).value_or(1);
+    }
+    // Stamped before the run, so a map write during it leaves the entry
+    // already stale.
+    const uint64_t version_sum = memo_binding_.VersionSum();
+    const auto slot = static_cast<size_t>(tid);
+    if (slot >= memo_.size()) {
+      memo_.resize(slot + 1);  // once per new tid; tids are dense
+    }
+    MemoEntry& entry = memo_[slot];
+    if (entry.valid && entry.version_sum == version_sum) {
+      metrics_.memo_hits->Inc();
+      return entry.cls;
+    }
+    const std::optional<uint64_t> cls = Classify(tid);
+    entry = MemoEntry{version_sum, cls.value_or(1), cls.has_value()};
+    return entry.cls;
+  }
+
+  // Effective tier, same contract as BytecodePacketPolicy::exec_mode().
+  bpf::ExecMode exec_mode() const {
+    return bpf::EffectiveExecMode(compiled_.get());
+  }
+
+  // Whether ClassOf memoizes (the verifier proved the program pure).
+  bool memoized() const { return memo_binding_.cacheable; }
+  uint64_t invocations() const { return metrics_.invocations->value; }
+  uint64_t memo_hits() const { return metrics_.memo_hits->value; }
+
+ private:
+  // Tids at or past this run unmemoized, bounding the memo's size.
+  static constexpr int kMaxMemoTid = 1 << 16;
+
+  struct MemoEntry {
+    uint64_t version_sum = 0;
+    uint64_t cls = 0;
+    bool valid = false;
+  };
+
+  // Runs the classifier program once; nullopt on a (counted) fault.
+  std::optional<uint64_t> Classify(int tid) {
     const auto arg1 = static_cast<uint64_t>(static_cast<uint32_t>(tid));
     auto result = compiled_ != nullptr
                       ? exec_.Run(*compiled_, arg1, 0,
@@ -199,7 +262,7 @@ class BytecodeGhostPolicy : public GhostPolicy {
                                     /*args_are_packet=*/false);
     if (!result.ok()) {
       metrics_.runtime_faults->Inc();
-      return 1;
+      return std::nullopt;
     }
     metrics_.invocations->Inc();
     metrics_.insns->Inc(result->insns_executed);
@@ -207,17 +270,13 @@ class BytecodeGhostPolicy : public GhostPolicy {
     return result->r0;
   }
 
-  // Effective tier, same contract as BytecodePacketPolicy::exec_mode().
-  bpf::ExecMode exec_mode() const {
-    return bpf::EffectiveExecMode(compiled_.get());
-  }
-
- private:
   std::shared_ptr<const bpf::Program> program_;
   std::shared_ptr<const bpf::CompiledProgram> compiled_;
   bpf::Interpreter interp_;
   bpf::CompiledExecutor exec_;
   PolicyMetrics metrics_;
+  FlowCacheBinding memo_binding_;
+  std::vector<MemoEntry> memo_;  // indexed by tid
 };
 
 }  // namespace syrup

@@ -585,9 +585,15 @@ StatusOr<int> Syrupd::DeployThreadPolicyFile(AppId app,
   }
   facts_[prog_id] = vfacts;
 
+  // A verifier-proven pure classifier is memoized per tid, stamped with
+  // its read-set maps' version sum (the flow cache's binding and protocol).
+  PolicyMetrics policy_metrics =
+      PolicyMetrics::InRegistry(metrics_, app_name, hook_name);
+  policy_metrics.memo_hits =
+      metrics_.GetCounter(app_name, hook_name, "policy.memo_hits");
   auto policy = std::make_shared<BytecodeGhostPolicy>(
-      program, MakeExecEnv(),
-      PolicyMetrics::InRegistry(metrics_, app_name, hook_name), compiled);
+      program, MakeExecEnv(), std::move(policy_metrics), compiled,
+      FlowCacheBinding::ForPureProgram(vfacts, *program));
   SYRUP_RETURN_IF_ERROR(
       DeployThreadPolicy(app, policy.get(), machine, config));
   owned_thread_policy_ = std::move(policy);

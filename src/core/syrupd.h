@@ -300,6 +300,11 @@ class Syrupd {
     return s;
   }
   const GhostScheduler* ghost_scheduler() const { return ghost_.get(); }
+  // The policy DeployThreadPolicyFile started the agent with (nullptr when
+  // none, or a native thread policy).
+  BytecodeGhostPolicy* bytecode_thread_policy() const {
+    return owned_thread_policy_.get();
+  }
 
   // The policy attached for `port` at `hook` (nullptr when none) — the
   // object syrupd's dispatcher invokes, shared so callers (Table 2) can

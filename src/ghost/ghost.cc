@@ -17,6 +17,7 @@ GhostScheduler::GhostScheduler(Machine& machine, GhostPolicy& policy,
       commits_(std::make_shared<obs::Counter>()),
       runnable_depth_(std::make_shared<obs::Gauge>()) {
   SYRUP_CHECK_GE(machine.num_cores(), config_.num_managed_cores);
+  committed_cores_.assign(static_cast<size_t>(config_.num_managed_cores), 0);
 }
 
 void GhostScheduler::BindMetrics(obs::MetricsRegistry& registry,
@@ -83,11 +84,11 @@ void GhostScheduler::ScheduleAgentRun() {
 void GhostScheduler::AgentRun() {
   agent_run_pending_ = false;
 
-  // Drain the channel, updating the agent's runnable view.
+  // Drain the channel, updating the agent's runnable view. Nothing below
+  // posts a message (the drain touches only the agent's own view), so the
+  // loop may walk the vector in place; posts resume once it is cleared.
   Duration agent_work = 0;
-  while (!channel_.empty()) {
-    const GhostMsg msg = channel_.front();
-    channel_.pop_front();
+  for (const GhostMsg& msg : channel_) {
     messages_processed_->value += 1;
     agent_work += config_.per_message_cost;
     switch (msg.type) {
@@ -108,6 +109,7 @@ void GhostScheduler::AgentRun() {
         break;  // core occupancy is read directly from the machine below
     }
   }
+  channel_.clear();
 
   runnable_depth_->Set(static_cast<int64_t>(runnable_.size()));
 
@@ -125,7 +127,8 @@ void GhostScheduler::CommitPlacements() {
     if (runnable_.empty()) {
       break;
     }
-    if (machine_.CurrentOn(core) != nullptr || committed_cores_.count(core)) {
+    if (machine_.CurrentOn(core) != nullptr ||
+        committed_cores_[static_cast<size_t>(core)] != 0) {
       continue;
     }
     const int tid = policy_.PickThread(core, runnable_);
@@ -135,27 +138,23 @@ void GhostScheduler::CommitPlacements() {
     auto it = std::find_if(
         runnable_.begin(), runnable_.end(),
         [&](const GhostThreadInfo& info) { return info.tid == tid; });
-    if (it == runnable_.end() || committed_tids_.count(tid)) {
+    if (it == runnable_.end() || TidCommitted(tid)) {
       continue;  // policy picked a stale tid; skip
     }
     runnable_.erase(it);
-    committed_cores_.insert(core);
-    committed_tids_.insert(tid);
+    if (static_cast<size_t>(tid) >= committed_tids_.size()) {
+      committed_tids_.resize(static_cast<size_t>(tid) + 1, 0);
+    }
+    committed_cores_[static_cast<size_t>(core)] = 1;
+    committed_tids_[static_cast<size_t>(tid)] = 1;
     ++commits_->value;
     runnable_depth_->Set(static_cast<int64_t>(runnable_.size()));
     SYRUP_TRACE(machine_.sim().Now(), "ghost",
                 "commit tid=" << tid << " core=" << core);
     machine_.sim().ScheduleAfter(config_.commit_delay, [this, core, tid]() {
-      committed_cores_.erase(core);
-      committed_tids_.erase(tid);
-      Thread* thread = nullptr;
-      for (const auto& t : machine_.threads()) {
-        if (t->tid() == tid) {
-          thread = t.get();
-          break;
-        }
-      }
-      SYRUP_CHECK_NE(thread, nullptr);
+      committed_cores_[static_cast<size_t>(core)] = 0;
+      committed_tids_[static_cast<size_t>(tid)] = 0;
+      Thread* thread = machine_.ThreadById(tid);
       if (thread->state() != Thread::State::kRunnable ||
           machine_.CurrentOn(core) != nullptr) {
         // Transaction failed (state changed while in flight). Re-post a
@@ -172,11 +171,11 @@ void GhostScheduler::CommitPlacements() {
 
   // No core free: consult the policy about preemption for waiting threads.
   for (const GhostThreadInfo& waiter : runnable_) {
-    if (committed_tids_.count(waiter.tid)) {
+    if (TidCommitted(waiter.tid)) {
       continue;
     }
     for (int core = 0; core < config_.num_managed_cores; ++core) {
-      if (committed_cores_.count(core)) {
+      if (committed_cores_[static_cast<size_t>(core)] != 0) {
         continue;
       }
       Thread* current = machine_.CurrentOn(core);

@@ -8,13 +8,18 @@
 // transactions that take effect after an IPI/context-switch delay. One
 // logical core is dedicated to the agent, so a machine with 6 cores offers
 // 5 to application threads — the capacity cost visible in Fig. 8b.
+//
+// A pass asks the policy for a pick per idle core and for a preemption
+// verdict per waiter x busy core, so a bytecode policy sees the same
+// threads many times per pass; BytecodeGhostPolicy memoizes a pure
+// classifier's answers per tid (src/core/policy.h). The agent's own
+// bookkeeping — the channel, the in-flight commit flags — is flat vectors
+// reused across passes, so a steady-state pass allocates nothing.
 #ifndef SYRUP_SRC_GHOST_GHOST_H_
 #define SYRUP_SRC_GHOST_GHOST_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <set>
 #include <string_view>
 #include <vector>
 
@@ -101,18 +106,26 @@ class GhostScheduler : public Scheduler {
   void ScheduleAgentRun();
   void AgentRun();
   void CommitPlacements();
+  bool TidCommitted(int tid) const {
+    return static_cast<size_t>(tid) < committed_tids_.size() &&
+           committed_tids_[static_cast<size_t>(tid)] != 0;
+  }
 
   Machine& machine_;
   GhostPolicy& policy_;
   GhostConfig config_;
 
-  std::deque<GhostMsg> channel_;
+  // Messages posted since the last drain, in order. AgentRun drains it in
+  // place and clears it, keeping the capacity.
+  std::vector<GhostMsg> channel_;
   bool agent_run_pending_ = false;
 
   // Agent-local view.
-  std::vector<GhostThreadInfo> runnable_;    // wake order
-  std::set<int> committed_cores_;            // placement in flight
-  std::set<int> committed_tids_;
+  std::vector<GhostThreadInfo> runnable_;  // wake order
+  // Placement in flight: one flag per managed core, and one per tid
+  // (grown on a tid's first commit).
+  std::vector<uint8_t> committed_cores_;
+  std::vector<uint8_t> committed_tids_;
 
   std::shared_ptr<obs::Counter> messages_processed_;
   std::shared_ptr<obs::Counter> preemptions_;

@@ -106,6 +106,12 @@ class Machine {
   const std::vector<std::unique_ptr<Thread>>& threads() const {
     return threads_;
   }
+  // The thread with `tid`. Tids are dense from 1 in creation order.
+  Thread* ThreadById(int tid) const {
+    SYRUP_CHECK(tid >= 1 && static_cast<size_t>(tid) <= threads_.size())
+        << "no thread with tid " << tid;
+    return threads_[static_cast<size_t>(tid) - 1].get();
+  }
 
   // --- Application-side API ----------------------------------------------
 

@@ -1091,5 +1091,154 @@ TEST(VerifierFacts, NotPopulatedOnRejection) {
   EXPECT_TRUE(facts.empty());
 }
 
+// --- purity (decision memos) -----------------------------------------------------
+
+AnalysisFacts ThreadFacts(std::string_view source) {
+  AnalysisFacts facts;
+  const Status status =
+      Verify(Load(source), ProgramContext::kThread, {}, nullptr, &facts);
+  EXPECT_TRUE(status.ok()) << status;
+  return facts;
+}
+
+// Looks up the tid's slot in `m`, leaving the value pointer in r0 (and
+// r6) or returning 1 when the slot is empty.
+constexpr char kThreadLookup[] = R"(
+    .ctx thread
+    .map m array 4 8 8
+    and r1, 7
+    stxw [r10-4], r1
+    ldmapfd r1, m
+    mov r2, r10
+    add r2, -4
+    call map_lookup_elem
+    jne r0, 0, found
+    mov r0, 1
+    exit
+  found:
+    mov r6, r0
+)";
+
+TEST(VerifierPurity, GetPriorityClassifierIsPureButNotCacheable) {
+  const AnalysisFacts facts =
+      ThreadFacts(GetPriorityThreadPolicyAsm("/syrup/t/types"));
+  EXPECT_TRUE(facts.pure);
+  EXPECT_FALSE(facts.cacheable);  // no flow key in thread context
+  ASSERT_EQ(facts.read_maps.size(), 1u);
+  EXPECT_TRUE(facts.cache_blockers.empty());
+}
+
+TEST(VerifierPurity, ThreadMapUpdateIsImpure) {
+  EXPECT_FALSE(ThreadFacts(R"(
+    .ctx thread
+    .map m hash 4 8 4
+    stxw [r10-4], r1
+    stxdw [r10-16], r1
+    ldmapfd r1, m
+    mov r2, r10
+    add r2, -4
+    mov r3, r10
+    add r3, -16
+    mov r4, 0
+    call map_update_elem
+    mov r0, 1
+    exit
+  )").pure);
+}
+
+TEST(VerifierPurity, ThreadMapDeleteIsImpure) {
+  EXPECT_FALSE(ThreadFacts(R"(
+    .ctx thread
+    .map m hash 4 8 4
+    stxw [r10-4], r1
+    ldmapfd r1, m
+    mov r2, r10
+    add r2, -4
+    call map_delete_elem
+    mov r0, 1
+    exit
+  )").pure);
+}
+
+TEST(VerifierPurity, ThreadStoreThroughValuePointerIsImpure) {
+  const AnalysisFacts facts = ThreadFacts(std::string(kThreadLookup) + R"(
+    mov r7, 2
+    stxdw [r6+0], r7
+    mov r0, 2
+    exit
+  )");
+  EXPECT_FALSE(facts.pure);
+  EXPECT_EQ(facts.write_maps.size(), 1u);
+}
+
+TEST(VerifierPurity, ThreadAtomicThroughValuePointerIsImpure) {
+  const AnalysisFacts facts = ThreadFacts(std::string(kThreadLookup) + R"(
+    mov r7, 1
+    xadddw [r6+0], r7
+    mov r0, 2
+    exit
+  )");
+  EXPECT_FALSE(facts.pure);
+  EXPECT_EQ(facts.atomic_maps.size(), 1u);
+}
+
+TEST(VerifierPurity, ThreadRandomnessAndClockAreImpure) {
+  EXPECT_FALSE(ThreadFacts(R"(
+    .ctx thread
+    call get_prandom_u32
+    exit
+  )").pure);
+  EXPECT_FALSE(ThreadFacts(R"(
+    .ctx thread
+    call ktime_get_ns
+    exit
+  )").pure);
+}
+
+TEST(VerifierPurity, ThreadTailCallIsImpure) {
+  EXPECT_FALSE(ThreadFacts(R"(
+    .ctx thread
+    .map progs prog_array 4 8 4
+    mov r1, 0
+    ldmapfd r2, progs
+    mov r3, 0
+    call tail_call
+    mov r0, 1
+    exit
+  )").pure);
+}
+
+TEST(VerifierPurity, PacketCacheabilityIsPurityPlusKeyWindow) {
+  auto facts_for = [](const std::string& source) {
+    AnalysisFacts facts;
+    EXPECT_TRUE(
+        Verify(Load(source), ProgramContext::kPacket, {}, nullptr, &facts)
+            .ok());
+    return facts;
+  };
+  // Pure and inside the 64-byte window: cacheable.
+  const AnalysisFacts mica = facts_for(MicaHomePolicyAsm(8));
+  EXPECT_TRUE(mica.pure);
+  EXPECT_TRUE(mica.cacheable);
+  // Impure (stores the bumped index through the value pointer).
+  const AnalysisFacts rr = facts_for(RoundRobinPolicyAsm(6));
+  EXPECT_FALSE(rr.pure);
+  EXPECT_FALSE(rr.cacheable);
+  // Pure, but reads a byte past the flow-key window.
+  const AnalysisFacts far = facts_for(R"(
+    mov r3, r1
+    add r3, 72
+    jgt r3, r2, out
+    ldxb r0, [r1+70]
+    exit
+  out:
+    mov r0, PASS
+    exit
+  )");
+  EXPECT_TRUE(far.pure);
+  EXPECT_FALSE(far.cacheable);
+  EXPECT_FALSE(far.cache_blockers.empty());
+}
+
 }  // namespace
 }  // namespace syrup::bpf

@@ -3,7 +3,11 @@
 // The bench binaries regenerate the full curves.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "src/apps/experiments.h"
+#include "src/bpf/compiler.h"
 
 namespace syrup {
 namespace {
@@ -175,6 +179,49 @@ TEST(Fig8, ThreadSchedulingAloneSuffersEvenAtLowLoad) {
   config.thread_sched = ThreadSchedKind::kGhostGetPriority;
   const RocksDbResult result = RunRocksDbExperiment(config);
   EXPECT_GT(result.p99_get_us, 250);  // GETs stuck behind SCANs in sockets
+}
+
+// Oracle for the thread-policy memo: the deployed GetPriority classifier
+// (memoized per tid, since the verifier proves it pure) must schedule
+// exactly like the native mirror (which has no memo) on every exec tier.
+// `stats_json` differs by design: only the bytecode run has policy.*.
+TEST(Fig8, BytecodeGhostMatchesNativeMirrorOnEveryTier) {
+  RocksDbExperimentConfig config;
+  config.socket_policy = SocketPolicyKind::kScanAvoid;
+  config.thread_sched = ThreadSchedKind::kGhostGetPriority;
+  config.get_fraction = 0.5;
+  config.num_threads = 36;
+  config.num_cores = 6;
+  config.load_rps = 8'000;
+  config.measure = 1 * kSecond;
+  config.seed = 3;
+  const RocksDbResult native = RunRocksDbExperiment(config);
+  EXPECT_GT(native.throughput_rps, 7'000);
+
+  config.use_bytecode = true;
+  for (const bpf::ExecMode mode :
+       {bpf::ExecMode::kInterpret, bpf::ExecMode::kCompiled,
+        bpf::ExecMode::kCompiledParanoid, bpf::ExecMode::kNative}) {
+    SCOPED_TRACE(std::string(bpf::ExecModeName(mode)));
+    config.exec_mode = mode;
+    const RocksDbResult bytecode = RunRocksDbExperiment(config);
+    EXPECT_EQ(bytecode.load_rps, native.load_rps);
+    EXPECT_EQ(bytecode.throughput_rps, native.throughput_rps);
+    EXPECT_EQ(bytecode.p50_us, native.p50_us);
+    EXPECT_EQ(bytecode.p99_us, native.p99_us);
+    EXPECT_EQ(bytecode.p99_get_us, native.p99_get_us);
+    EXPECT_EQ(bytecode.p99_scan_us, native.p99_scan_us);
+    EXPECT_EQ(bytecode.drop_fraction, native.drop_fraction);
+    EXPECT_EQ(bytecode.get_throughput_rps, native.get_throughput_rps);
+    EXPECT_EQ(bytecode.scan_throughput_rps, native.scan_throughput_rps);
+    // The memo served part of the agent's classifier calls.
+    const std::string& json = bytecode.stats_json;
+    const size_t at = json.find("\"policy.memo_hits\":{");
+    ASSERT_NE(at, std::string::npos);
+    const size_t value = json.find("\"value\":", at);
+    ASSERT_NE(value, std::string::npos);
+    EXPECT_GT(std::strtoull(json.c_str() + value + 8, nullptr, 10), 0u);
+  }
 }
 
 // --- Fig. 9: MICA across hooks --------------------------------------------------------------

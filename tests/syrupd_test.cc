@@ -10,6 +10,7 @@
 #include "src/core/syrupd.h"
 #include "src/net/stack.h"
 #include "src/policies/builtin.h"
+#include "src/sched/machine.h"
 #include "src/sim/simulator.h"
 
 namespace syrup {
@@ -905,6 +906,164 @@ TEST_F(SyrupdTest, AnalyzeDeploymentsSingleAppIsErrorFree) {
     }
   }
   EXPECT_TRUE(uncacheable);
+}
+
+// --- thread-policy memo -----------------------------------------------------------
+
+// A GetPriority classifier deployed through DeployThreadPolicyFile over a
+// pinned tid -> ReqType map, on a 2-core machine (1 managed core + agent).
+class ThreadMemoTest : public SyrupdTest {
+ protected:
+  ThreadMemoTest() : machine_(sim_, 2) {
+    app_ = syrupd_.RegisterApp("rocksdb", 1000, 9000).value();
+    MapSpec spec;
+    spec.type = MapType::kHash;
+    spec.max_entries = 16;
+    spec.name = "types";
+    types_ = CreateMap(spec).value();
+    SYRUP_CHECK_OK(syrupd_.registry().Pin("/syrup/rocksdb/types", types_,
+                                          1000));
+  }
+
+  BytecodeGhostPolicy& Deploy(const std::string& source) {
+    GhostConfig config;
+    config.num_managed_cores = 1;
+    SYRUP_CHECK_OK(
+        syrupd_.DeployThreadPolicyFile(app_, source, machine_, config)
+            .status());
+    return *syrupd_.bytecode_thread_policy();
+  }
+
+  BytecodeGhostPolicy& DeployGetPriority() {
+    return Deploy(GetPriorityThreadPolicyAsm("/syrup/rocksdb/types"));
+  }
+
+  void Publish(const Thread* thread, ReqType type) {
+    SYRUP_CHECK_OK(types_->UpdateU64(static_cast<uint32_t>(thread->tid()),
+                                     static_cast<uint64_t>(type)));
+  }
+
+  Machine machine_;
+  AppId app_ = 0;
+  std::shared_ptr<Map> types_;
+};
+
+TEST_F(ThreadMemoTest, MapUpdateBetweenCallsRerunsTheClassifier) {
+  BytecodeGhostPolicy& policy = DeployGetPriority();
+  ASSERT_TRUE(policy.memoized());
+  const Thread* thread = machine_.CreateThread("t");
+  Publish(thread, ReqType::kGet);
+  EXPECT_EQ(policy.ClassOf(thread->tid()), 1u);
+  EXPECT_EQ(policy.ClassOf(thread->tid()), 1u);
+  EXPECT_EQ(policy.invocations(), 1u);
+  EXPECT_EQ(policy.memo_hits(), 1u);
+
+  Publish(thread, ReqType::kScan);
+  EXPECT_EQ(policy.ClassOf(thread->tid()), 2u);
+  EXPECT_EQ(policy.invocations(), 2u);
+  EXPECT_EQ(policy.memo_hits(), 1u);
+
+  // A delete bumps the version too: back to the unclassified default.
+  const auto key = static_cast<uint32_t>(thread->tid());
+  ASSERT_TRUE(types_->Delete(&key).ok());
+  EXPECT_EQ(policy.ClassOf(thread->tid()), 1u);
+  EXPECT_EQ(policy.invocations(), 3u);
+}
+
+TEST_F(ThreadMemoTest, ImpureClassifierRunsOnEveryCall) {
+  // Counts its own runs in place (an atomic add through the value
+  // pointer, which bumps no map version): memoizing it would lose runs.
+  BytecodeGhostPolicy& policy = Deploy(R"(
+.name counting
+.ctx thread
+.map runs array 4 8 1
+  mov r6, 0
+  stxw [r10-4], r6
+  ldmapfd r1, runs
+  mov r2, r10
+  add r2, -4
+  call map_lookup_elem
+  jeq r0, 0, out
+  mov r6, 1
+  xadddw [r0+0], r6
+out:
+  mov r0, 1
+  exit
+)");
+  EXPECT_FALSE(policy.memoized());
+  const Thread* thread = machine_.CreateThread("t");
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(policy.ClassOf(thread->tid()), 1u);
+  }
+  EXPECT_EQ(policy.invocations(), 5u);
+  EXPECT_EQ(policy.memo_hits(), 0u);
+  auto runs = syrupd_.registry().Open("/syrup/rocksdb/runs", 1000);
+  ASSERT_TRUE(runs.ok()) << runs.status();
+  EXPECT_EQ((*runs)->LookupU64(0).value(), 5u);
+}
+
+TEST_F(ThreadMemoTest, PreemptRepublishingATypeIsSeenInTheSamePass) {
+  BytecodeGhostPolicy& policy = DeployGetPriority();
+  Thread* scan = machine_.CreateThread("scan");
+  Thread* get = machine_.CreateThread("get");  // never woken; just a tid
+  Publish(scan, ReqType::kScan);
+  Publish(get, ReqType::kGet);
+  // The scan thread's segment ends by republishing the other thread's type
+  // (as RocksDbServer does when a worker dequeues its next request).
+  scan->SetSegmentDoneCallback([&]() { Publish(get, ReqType::kScan); });
+  machine_.AddWork(scan, 100);
+  machine_.Wake(scan);
+  // ghOSt places the scan thread at message delay + one message's agent
+  // work + commit delay; its segment then ends 100 ns later. This event is
+  // queued first, so it runs at that instant before the segment-end event:
+  // a Preempt there lands exactly on the segment boundary and runs the
+  // segment-done callback, as a preemption inside an agent pass does.
+  const GhostConfig defaults;
+  const Time boundary = defaults.message_delay + defaults.per_message_cost +
+                        defaults.commit_delay + 100;
+  bool ran = false;
+  sim_.ScheduleAt(boundary, [&]() {
+    ran = true;
+    ASSERT_EQ(machine_.CurrentOn(0), scan);
+    const GhostThreadInfo waiter{get->tid(), sim_.Now()};
+    EXPECT_TRUE(policy.ShouldPreempt(waiter, scan->tid()));
+    EXPECT_TRUE(policy.ShouldPreempt(waiter, scan->tid()));  // from the memo
+    const uint64_t hits = policy.memo_hits();
+    EXPECT_GT(hits, 0u);
+    machine_.Preempt(0);
+    EXPECT_EQ(machine_.CurrentOn(0), nullptr);
+    // SCAN no longer beats SCAN: the republished type is seen at once.
+    EXPECT_FALSE(policy.ShouldPreempt(waiter, scan->tid()));
+  });
+  sim_.RunToCompletion();
+  EXPECT_TRUE(ran);
+}
+
+TEST_F(ThreadMemoTest, InvocationsPlusMemoHitsEqualClassifierCalls) {
+  BytecodeGhostPolicy& policy = DeployGetPriority();
+  std::vector<const Thread*> threads;
+  for (int i = 0; i < 4; ++i) {
+    threads.push_back(machine_.CreateThread("t"));
+  }
+  uint64_t calls = 0;
+  for (int round = 0; round < 6; ++round) {
+    if (round % 2 == 0) {
+      Publish(threads[static_cast<size_t>(round) % threads.size()],
+              round % 4 == 0 ? ReqType::kScan : ReqType::kGet);
+    }
+    for (const Thread* thread : threads) {
+      policy.ClassOf(thread->tid());
+      policy.ClassOf(thread->tid());
+      calls += 2;
+    }
+  }
+  EXPECT_GT(policy.memo_hits(), 0u);
+  EXPECT_GT(policy.invocations(), threads.size());
+  EXPECT_EQ(policy.invocations() + policy.memo_hits(), calls);
+  // The counter is registered where syrupctl stats shows it.
+  EXPECT_EQ(syrupd_.StatsSnapshot().CounterValue(
+                "rocksdb", "thread_scheduler", "policy.memo_hits"),
+            policy.memo_hits());
 }
 
 }  // namespace
