@@ -45,6 +45,9 @@ Simulator::Simulator(SimEngine engine) : engine_(engine) {
       head = kNil;
     }
   }
+  // Heap mode never holds more than kSpillAt + 1 entries, so it never grows
+  // ready_; a collapse moves at most kCollapseAt into it.
+  ready_.reserve(kSpillAt + 1);
 }
 
 Simulator::~Simulator() {
@@ -118,6 +121,18 @@ bool Simulator::FitsWheel(uint64_t tick) const {
   // the bucket covering cur_tick_, which must stay empty.
   return (tick >> (kLevelBits * kLevels)) ==
          (cur_tick_ >> (kLevelBits * kLevels));
+}
+
+void Simulator::Enqueue(uint32_t idx) {
+  if (spilled_) {
+    InsertPending(idx);
+    return;
+  }
+  const EventSlot& slot = SlotAt(idx);
+  PushReady(HeapEntry{slot.when, slot.seq, idx});
+  if (ready_.size() > kSpillAt) {
+    Spill();
+  }
 }
 
 void Simulator::InsertPending(uint32_t idx) {
@@ -239,8 +254,62 @@ void Simulator::AdvanceTo(uint64_t tick) {
   }
 }
 
+void Simulator::Spill() {
+  ++stats_.spills;
+  spilled_ = true;
+  // The wheel and overflow are empty, so any anchor at or below the earliest
+  // pending tick is valid; the front's own tick keeps the fewest events in
+  // ready_. Everything later is refiled in place: InsertPending sends a tick
+  // past cur_tick_ to the wheel or overflow, never back into ready_.
+  cur_tick_ = ready_.front().when >> kTickShift;
+  size_t kept = 0;
+  for (size_t i = 0; i < ready_.size(); ++i) {
+    const HeapEntry entry = ready_[i];
+    if ((entry.when >> kTickShift) == cur_tick_) {
+      ready_[kept++] = entry;
+    } else {
+      InsertPending(entry.slot);
+    }
+  }
+  ready_.resize(kept);
+  std::make_heap(ready_.begin(), ready_.end(), HeapAfter{});
+}
+
+void Simulator::Collapse() {
+  ++stats_.collapses;
+  spilled_ = false;
+  // ready_ is empty and at most kCollapseAt events are pending, so the
+  // splice fits its reserved capacity.
+  splicing_ready_ = true;
+  for (int level = 0; level < kLevels; ++level) {
+    for (uint64_t bits = occupied_[level]; bits != 0; bits &= bits - 1) {
+      const int pos = std::countr_zero(bits);
+      for (uint32_t idx = buckets_[level][pos]; idx != kNil;
+           idx = SlotAt(idx).next) {
+        const EventSlot& slot = SlotAt(idx);
+        PushReady(HeapEntry{slot.when, slot.seq, idx});
+      }
+      buckets_[level][pos] = kNil;
+    }
+    occupied_[level] = 0;
+  }
+  for (const HeapEntry& entry : overflow_) {
+    PushReady(entry);
+  }
+  overflow_.clear();
+  splicing_ready_ = false;
+  std::make_heap(ready_.begin(), ready_.end(), HeapAfter{});
+}
+
 bool Simulator::RefillReady(Time horizon) {
+  if (!spilled_) {
+    return !ready_.empty();
+  }
   while (ready_.empty()) {
+    if (pending_ <= kCollapseAt) {
+      Collapse();
+      return !ready_.empty();
+    }
     const uint64_t next = NextOccupiedTick();
     if (next == kNoTick) {
       return false;
@@ -257,8 +326,9 @@ Time Simulator::NextEventTime() {
   if (engine_ == SimEngine::kReference) {
     return ref_queue_.empty() ? kNoEventTime : ref_queue_.top().when;
   }
-  // RefillReady with an unbounded horizon advances the wheel far enough to
-  // surface the globally-next event in the ready heap, making the bound
+  // In heap mode the front is exact. In wheel mode, RefillReady with an
+  // unbounded horizon advances the wheel far enough to surface the
+  // globally-next event in the ready heap (or collapses), making the bound
   // exact rather than a bucket-window start.
   if (ready_.empty() && !RefillReady(kNoEventTime)) {
     return kNoEventTime;

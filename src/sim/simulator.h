@@ -8,15 +8,25 @@
 // Two interchangeable engines implement that contract:
 //
 //  * kTimingWheel (default): zero-allocation steady state. Events live in a
-//    slab-allocated pool with intrusive freelist/bucket links, callbacks are
-//    stored inline (up to kInlineCallbackBytes of captures; larger closures
-//    fall back to the heap and are counted), and pending events sit in a
-//    4-level x 64-slot hierarchical timing wheel (256 ns level-0 ticks; the
-//    wheel addresses the aligned ~4.3 s window containing the current tick,
-//    with a min-heap overflow beyond it). Events at or before the current
-//    wheel position sit in a tiny (time, seq) binary heap, so the dispatch
-//    order is bit-identical to a single global heap while schedule/dispatch
-//    cost stays O(1) amortized.
+//    slab-allocated pool with intrusive freelist/bucket links, and callbacks
+//    are stored inline (up to kInlineCallbackBytes of captures; larger
+//    closures fall back to the heap and are counted). Pending events have
+//    two representations, chosen by how many there are:
+//      - Heap mode (at most kSpillAt pending): every pending event sits in
+//        one (time, seq) binary heap. The paper's configurations run here
+//        (perfbench's workloads peak at 14-19 pending), where a few
+//        compares beat any refiling.
+//      - Wheel mode (entered when the heap would exceed kSpillAt): events
+//        move to a 4-level x 64-slot hierarchical timing wheel (256 ns
+//        level-0 ticks; the wheel addresses the aligned ~4.3 s window
+//        containing the current tick, with a min-heap overflow beyond it).
+//        Events at or before the current wheel position stay in the same
+//        (time, seq) heap, so schedule/dispatch cost stays O(1) amortized
+//        for deep pending sets. The engine collapses back to heap mode once
+//        the heap drains with at most kCollapseAt events pending.
+//    Both modes dispatch in exact (time, seq) order, so the order is
+//    bit-identical to a single global heap whichever mode an event passes
+//    through.
 //
 //  * kReference: the original std::function + shared_ptr<bool> +
 //    std::priority_queue engine, kept verbatim as a differential oracle.
@@ -49,7 +59,7 @@ namespace syrup {
 class Simulator;
 
 enum class SimEngine {
-  kTimingWheel,  // pooled events + hierarchical timing wheel (default)
+  kTimingWheel,  // pooled events, small-set heap / timing wheel (default)
   kReference,    // original heap engine, kept as a differential oracle
 };
 
@@ -96,11 +106,29 @@ class Simulator {
     uint64_t container_growths = 0; // ready/overflow vector regrowth
     uint64_t overflow_inserts = 0;  // events beyond the wheel span
     uint64_t cascades = 0;          // non-empty higher-level bucket refills
+    uint64_t spills = 0;            // heap mode -> wheel mode switches
+    uint64_t collapses = 0;         // wheel mode -> heap mode switches
 
     uint64_t internal_allocs() const {
       return slab_allocs + large_callbacks + container_growths;
     }
   };
+
+  // Pooled-engine mode thresholds (see the file comment). The engine spills
+  // once the heap would hold more than kSpillAt events and collapses once a
+  // drained heap leaves at most kCollapseAt pending; the gap keeps a pending
+  // count that hovers near one threshold from switching on every event.
+  // Chosen from a steady-state depth sweep (`bench/sim_events` shape, min of
+  // 6, 4-core shared x86-64 VM), ns/event heap-only vs wheel-only at
+  // 16/32/64/128/256/1024 pending:
+  //   1 us-1 ms delays:    48/60/70/61/59/79 vs 82/85/77/72/66/73
+  //                        (crossover between 256 and 1024)
+  //   100 ns-10 us delays: 57/59/61/68/74/72 vs 64/58/55/56/54/58
+  //                        (crossover between 32 and 64)
+  // 128 sits between the two crossovers; the paper's configurations peak at
+  // 14-19 pending and never spill.
+  static constexpr size_t kSpillAt = 128;
+  static constexpr size_t kCollapseAt = 32;
 
   Simulator() : Simulator(DefaultEngine()) {}
   explicit Simulator(SimEngine engine);
@@ -135,7 +163,7 @@ class Simulator {
     slot.cancelled = false;
     slot.engaged = true;
     EmplaceCallback(slot, std::forward<F>(fn));
-    InsertPending(idx);
+    Enqueue(idx);
     ++pending_;
     ++stats_.scheduled;
     return EventHandle(this, idx, slot.gen);
@@ -259,8 +287,11 @@ class Simulator {
   // True when `tick` lies in the aligned span window the wheel currently
   // addresses; events outside it wait in the overflow heap.
   bool FitsWheel(uint64_t tick) const;
-  // Files a live slot into the ready heap (tick <= cur_tick_), the wheel, or
-  // the overflow heap.
+  // Files a newly scheduled slot: heap mode pushes it into ready_ and spills
+  // past kSpillAt; wheel mode calls InsertPending.
+  void Enqueue(uint32_t idx);
+  // Wheel mode: files a live slot into the ready heap (tick <= cur_tick_),
+  // the wheel, or the overflow heap.
   void InsertPending(uint32_t idx);
   void PushReady(HeapEntry entry);
   void PushOverflow(HeapEntry entry);
@@ -273,8 +304,15 @@ class Simulator {
   // events, cascades the higher-level buckets covering `tick`, and splices
   // the level-0 bucket into the ready heap.
   void AdvanceTo(uint64_t tick);
+  // Heap mode -> wheel mode: anchors the empty wheel at the earliest pending
+  // tick and refiles every later event out of ready_.
+  void Spill();
+  // Wheel mode -> heap mode: moves every bucket chain and the overflow heap
+  // into the (empty) ready heap.
+  void Collapse();
   // Ensures ready_ holds the globally-next event; false when nothing is
-  // pending at or before `horizon`.
+  // pending (wheel mode: nothing at or before `horizon`). In wheel mode it
+  // collapses first when at most kCollapseAt events are pending.
   bool RefillReady(Time horizon);
 
   bool PooledValid(uint32_t idx, uint32_t gen) const;
@@ -314,9 +352,11 @@ class Simulator {
   std::vector<std::unique_ptr<EventSlot[]>> slabs_;
   uint32_t free_head_ = kNil;
   size_t pending_ = 0;
+  bool spilled_ = false;   // wheel mode; false: every pending event in ready_
   uint64_t cur_tick_ = 0;  // wheel position: the tick the ready heap covers
-  bool splicing_ready_ = false;  // AdvanceTo defers heapification to its end
-  std::vector<HeapEntry> ready_;     // events with tick <= cur_tick_
+  bool splicing_ready_ = false;  // AdvanceTo/Collapse heapify once at the end
+  // Heap mode: every pending event. Wheel mode: events with tick <= cur_tick_.
+  std::vector<HeapEntry> ready_;
   std::vector<HeapEntry> overflow_;  // min-heap of events beyond the window
   uint64_t occupied_[kLevels] = {};  // per-level bucket occupancy bitmap
   uint32_t buckets_[kLevels][kSlotsPerLevel];  // slot-index list heads

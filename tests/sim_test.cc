@@ -213,8 +213,31 @@ TEST(SimulatorPool, SelfCancelDuringDispatchIsInert) {
   EXPECT_EQ(sim.Now(), 20u);
 }
 
+// The pooled engine keeps small pending sets in one heap and files events in
+// the timing wheel only past Simulator::kSpillAt. ParkWheelFill puts a test
+// simulator in wheel mode with ordinary schedule/cancel calls: one cancelled
+// event at Now() and kSpillAt cancelled events at kParkedAt, later than any
+// event the wheel tests check. The last push spills, and the event at Now()
+// anchors the wheel at or below every event the test schedules. Cancelled
+// events never run and never move Now(), but they stay pending until the
+// wheel reaches them, so the engine cannot collapse back to heap mode before
+// then. kParkedAt's tick has position 1 at every wheel level, so reaching it
+// never cascades a bucket that an anchor at a level boundary (position 0 or
+// 63) could misfile into: a misfiled event can come back only through a
+// collapse, which the tests catch by checking `collapses` when it fires.
+constexpr Time kParkedAt = ((Time{1} << 32) + 0x41041) << 8;  // ~1100 s
+
+void ParkWheelFill(Simulator& sim) {
+  sim.ScheduleAt(sim.Now(), []() {}).Cancel();
+  for (size_t i = 0; i < Simulator::kSpillAt; ++i) {
+    sim.ScheduleAt(kParkedAt, []() {}).Cancel();
+  }
+  ASSERT_EQ(sim.engine_stats().spills, 1u);
+}
+
 TEST(SimulatorPool, StopMidDispatchPreservesWheelState) {
   Simulator sim(SimEngine::kTimingWheel);
+  ParkWheelFill(sim);
   std::vector<int> order;
   // Spread across many level-0 ticks and into level 1.
   for (int i = 0; i < 50; ++i) {
@@ -230,10 +253,13 @@ TEST(SimulatorPool, StopMidDispatchPreservesWheelState) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i);
   }
+  EXPECT_GT(sim.engine_stats().spills, 0u);
 }
 
 TEST(SimulatorPool, FarFutureTimersCrossWheelLevelsAndOverflow) {
   Simulator sim(SimEngine::kTimingWheel);
+  ParkWheelFill(sim);
+  const uint64_t parked_overflow = sim.engine_stats().overflow_inserts;
   // Exponentially spread timers: levels 0..3 and, beyond ~4.3 s, the
   // overflow heap (2^32 ns exceeds the wheel span of 2^24 ticks * 256 ns).
   std::vector<Time> times;
@@ -247,9 +273,12 @@ TEST(SimulatorPool, FarFutureTimersCrossWheelLevelsAndOverflow) {
     sim.ScheduleAt(when, [&fired, &sim]() { fired.push_back(sim.Now()); });
   }
   sim.RunToCompletion();
-  EXPECT_GT(sim.engine_stats().overflow_inserts, 0u);
+  // The parked events went to overflow too; the timers themselves must add
+  // to it.
+  EXPECT_GT(sim.engine_stats().overflow_inserts, parked_overflow);
   std::sort(times.begin(), times.end());
   EXPECT_EQ(fired, times);
+  EXPECT_GT(sim.engine_stats().spills, 0u);
 }
 
 TEST(SimulatorPool, FullLevelRevolutionDistanceIsNotLost) {
@@ -258,22 +287,29 @@ TEST(SimulatorPool, FullLevelRevolutionDistanceIsNotLost) {
   // exactly 64) used to be filed into the bucket covering cur_tick_, which
   // NextOccupiedTick treats as always empty — the event never fired.
   Simulator sim(SimEngine::kTimingWheel);
+  ParkWheelFill(sim);
   bool fired = false;
   sim.ScheduleAt(63 * 256, [&]() {
-    sim.ScheduleAfter(4095 * 256, [&]() { fired = true; });
+    sim.ScheduleAfter(4095 * 256, [&]() {
+      fired = true;
+      // Fired from the wheel, not rescued by a collapse to heap mode.
+      EXPECT_EQ(sim.engine_stats().collapses, 0u);
+    });
   });
   sim.RunToCompletion();
   EXPECT_TRUE(fired);
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.Now(), Time{63 * 256} + 4095 * 256);
+  EXPECT_GT(sim.engine_stats().spills, 0u);
 }
 
 TEST(SimulatorPool, RevolutionBoundariesFireFromEveryAnchor) {
   // Anchors sit just below each level's rollover; deltas straddle every
   // level's full revolution (64^k - 1, 64^k, 64^k + 1 ticks) so the window
   // delta wraps at each level and crosses the overflow boundary. Each pair
-  // runs in its own simulator: with no unrelated event advancing the wheel,
-  // a misfiled bucket can never be rescued by a coincidental cascade.
+  // runs in its own simulator: with no unrelated event advancing the wheel
+  // (the parked events sit past every target), a misfiled bucket can never
+  // be rescued by a coincidental cascade.
   for (const Time anchor :
        {Time{63} * 256, Time{4095} * 256, ((Time{1} << 18) - 1) * 256,
         ((Time{1} << 24) - 1) * 256}) {
@@ -281,14 +317,20 @@ TEST(SimulatorPool, RevolutionBoundariesFireFromEveryAnchor) {
       const uint64_t revolution = uint64_t{1} << (6 * level);
       for (const uint64_t delta : {revolution - 1, revolution, revolution + 1}) {
         Simulator sim(SimEngine::kTimingWheel);
+        ParkWheelFill(sim);
         Time fired = 0;
         sim.ScheduleAt(anchor, [&sim, &fired, delta]() {
-          sim.ScheduleAfter(delta * 256, [&sim, &fired]() { fired = sim.Now(); });
+          sim.ScheduleAfter(delta * 256, [&sim, &fired]() {
+            fired = sim.Now();
+            // Fired from the wheel, not rescued by a collapse to heap mode.
+            EXPECT_EQ(sim.engine_stats().collapses, 0u);
+          });
         });
         sim.RunToCompletion();
         EXPECT_EQ(fired, anchor + delta * 256)
             << "anchor " << anchor << " delta " << delta;
         EXPECT_EQ(sim.pending_events(), 0u);
+        EXPECT_GT(sim.engine_stats().spills, 0u);
       }
     }
   }
@@ -301,6 +343,7 @@ TEST(SimulatorPool, EarlierEventScheduledAfterPartialRunDispatchesFirst) {
   // landed in overflow, and dispatched after the later event — with Now()
   // running backward.
   Simulator sim(SimEngine::kTimingWheel);
+  ParkWheelFill(sim);
   std::vector<Time> fired;
   auto record = [&fired, &sim]() { fired.push_back(sim.Now()); };
   sim.ScheduleAt(1124, record);
@@ -308,6 +351,7 @@ TEST(SimulatorPool, EarlierEventScheduledAfterPartialRunDispatchesFirst) {
   sim.ScheduleAt(500, record);
   sim.RunUntil(2000);
   EXPECT_EQ(fired, (std::vector<Time>{500, 1124}));
+  EXPECT_GT(sim.engine_stats().spills, 0u);
 }
 
 TEST(Simulator, FiredHandleIsInvalidOnBothEngines) {
@@ -338,25 +382,31 @@ struct SteadyTick {
 };
 
 TEST(SimulatorPool, SteadyStateDispatchDoesNotAllocate) {
-  Simulator sim(SimEngine::kTimingWheel);
-  uint64_t remaining = 20'000;
-  uint64_t lcg = 999;
-  for (uint64_t i = 0; i < 64; ++i) {
-    sim.ScheduleAfter(100 + i, SteadyTick{&sim, &remaining, &lcg});
+  // 64 in flight runs in heap mode; four times kSpillAt runs in the wheel.
+  const uint64_t wheel_depth = 4 * Simulator::kSpillAt;
+  for (const uint64_t depth : {uint64_t{64}, wheel_depth}) {
+    SCOPED_TRACE(depth);
+    Simulator sim(SimEngine::kTimingWheel);
+    uint64_t remaining = 20'000;
+    uint64_t lcg = 999;
+    for (uint64_t i = 0; i < depth; ++i) {
+      sim.ScheduleAfter(100 + i, SteadyTick{&sim, &remaining, &lcg});
+    }
+    // Warmup: grow the pool, ready heap, and wheel to their high-water marks.
+    while (remaining > 10'000) {
+      sim.RunUntil(sim.Now() + 100 * kMicrosecond);
+    }
+    const uint64_t internal_before = sim.engine_stats().internal_allocs();
+    const uint64_t global_before = ThreadAllocs();
+    sim.RunToCompletion();
+    EXPECT_GT(sim.engine_stats().dispatched, 19'000u);
+    // The engine's own accounting and this thread's operator new both agree:
+    // a steady-state schedule/dispatch window allocates nothing. (Per-thread
+    // so engines running on other shards' threads can't trip this gate.)
+    EXPECT_EQ(sim.engine_stats().internal_allocs(), internal_before);
+    EXPECT_EQ(ThreadAllocs(), global_before);
+    EXPECT_EQ(sim.engine_stats().spills, depth > Simulator::kSpillAt ? 1u : 0u);
   }
-  // Warmup: grow the pool, ready heap, and wheel to their high-water marks.
-  while (remaining > 10'000) {
-    sim.RunUntil(sim.Now() + 100 * kMicrosecond);
-  }
-  const uint64_t internal_before = sim.engine_stats().internal_allocs();
-  const uint64_t global_before = ThreadAllocs();
-  sim.RunToCompletion();
-  EXPECT_GT(sim.engine_stats().dispatched, 19'000u);
-  // The engine's own accounting and this thread's operator new both agree:
-  // a steady-state schedule/dispatch window allocates nothing. (Per-thread
-  // so engines running on other shards' threads can't trip this gate.)
-  EXPECT_EQ(sim.engine_stats().internal_allocs(), internal_before);
-  EXPECT_EQ(ThreadAllocs(), global_before);
 }
 
 TEST(SimulatorPool, LargeCallbacksSpillToHeapAndStillRun) {
@@ -415,6 +465,233 @@ std::vector<uint64_t> DifferentialTrace(SimEngine engine) {
 TEST(SimulatorDifferential, WheelMatchesReferenceOnRandomProgram) {
   EXPECT_EQ(DifferentialTrace(SimEngine::kTimingWheel),
             DifferentialTrace(SimEngine::kReference));
+}
+
+// --- heap mode <-> wheel mode ------------------------------------------------
+
+uint64_t NextLcg(uint64_t* lcg) {
+  *lcg = *lcg * 6364136223846793005ull + 1442695040888963407ull;
+  return *lcg >> 33;
+}
+
+// Bursts of 100-250 events on a backlog that drains between them, so the
+// pooled engine's pending count crosses kSpillAt and kCollapseAt in both
+// directions over and over. Each burst puts a run of same-instant events
+// around the push that spills, right at the earliest pending tick; a few
+// events sit past the wheel span, so spills and collapses carry overflow
+// entries; callbacks schedule follow-ups (some spill mid-dispatch); random
+// handles are cancelled, live or not; runs stop at partial horizons, and one
+// callback calls Stop(). The trace records event identity, clock and backlog.
+struct HybridCounts {
+  uint64_t spills = 0;
+  uint64_t collapses = 0;
+  bool stopped = false;
+};
+
+std::vector<uint64_t> HybridTrace(SimEngine engine, HybridCounts* counts) {
+  Simulator sim(engine);
+  std::vector<uint64_t> trace;
+  bool* stopped = &counts->stopped;
+  uint64_t lcg = 0x5eed;
+  std::vector<EventHandle> handles;
+  uint64_t next_id = 0;
+  auto schedule = [&](Time when) {
+    const uint64_t id = next_id++;
+    handles.push_back(sim.ScheduleAt(when, [&trace, &sim, stopped, id]() {
+      trace.push_back(id);
+      trace.push_back(sim.Now());
+      if (id % 5 == 0) {
+        sim.ScheduleAfter(id % 3'000, [&trace, id]() {
+          trace.push_back(1'000'000 + id);
+        });
+      }
+      if (id >= 2'345 && !*stopped) {
+        *stopped = true;
+        sim.Stop();
+      }
+    }));
+  };
+  for (int round = 0; round < 100; ++round) {
+    const size_t burst = 100 + NextLcg(&lcg) % 151;
+    const Time tie = sim.Now() + NextLcg(&lcg) % 300;
+    if (round % 25 == 0) {
+      schedule(sim.Now() + 4'500'000'000ull + NextLcg(&lcg) % 1'000'000);
+    }
+    for (size_t i = 0; i < burst; ++i) {
+      const bool at_tie = i % 8 == 0 || (i + 3 >= Simulator::kSpillAt &&
+                                         i <= Simulator::kSpillAt + 3);
+      schedule(at_tie ? tie : sim.Now() + NextLcg(&lcg) % 2'000'000);
+    }
+    for (int c = 0; c < 20; ++c) {
+      handles[NextLcg(&lcg) % handles.size()].Cancel();
+    }
+    trace.push_back(sim.RunUntil(sim.Now() + NextLcg(&lcg) % 2'500'000));
+    trace.push_back(sim.Now());
+    trace.push_back(sim.pending_events());
+  }
+  sim.RunToCompletion();
+  trace.push_back(sim.Now());
+  trace.push_back(sim.engine_stats().dispatched);
+  counts->spills = sim.engine_stats().spills;
+  counts->collapses = sim.engine_stats().collapses;
+  return trace;
+}
+
+TEST(SimulatorHybrid, MatchesReferenceAcrossManySpillsAndCollapses) {
+  HybridCounts counts;
+  const std::vector<uint64_t> wheel =
+      HybridTrace(SimEngine::kTimingWheel, &counts);
+  HybridCounts reference;
+  EXPECT_EQ(wheel, HybridTrace(SimEngine::kReference, &reference));
+  EXPECT_TRUE(counts.stopped);
+  EXPECT_GE(counts.spills, 30u);
+  EXPECT_GE(counts.collapses, 30u);
+}
+
+// Self-rescheduling no-op: keeps a background of pending events alive.
+struct Background {
+  Simulator* sim;
+  uint64_t* lcg;
+  void operator()() const {
+    sim->ScheduleAfter(1 + NextLcg(lcg) % 1'000'000, Background{sim, lcg});
+  }
+};
+
+TEST(SimulatorHybrid, OscillatingSteadyStateDoesNotAllocate) {
+  Simulator sim(SimEngine::kTimingWheel);
+  uint64_t lcg = 42;
+  // 20 pending in the background (under kCollapseAt, so each collapse moves
+  // them); every cycle adds a burst of 150 that spills and then drains.
+  for (int i = 0; i < 20; ++i) {
+    sim.ScheduleAfter(1 + i, Background{&sim, &lcg});
+  }
+  auto cycle = [&]() {
+    for (int i = 0; i < 150; ++i) {
+      sim.ScheduleAfter(1 + NextLcg(&lcg) % 1'000'000, []() {});
+    }
+    sim.RunUntil(sim.Now() + 1'000'001);
+  };
+  for (int i = 0; i < 5; ++i) {
+    cycle();
+  }
+  const Simulator::EngineStats before = sim.engine_stats();
+  const uint64_t thread_before = ThreadAllocs();
+  for (int i = 0; i < 50; ++i) {
+    cycle();
+  }
+  EXPECT_EQ(sim.engine_stats().internal_allocs(), before.internal_allocs());
+  EXPECT_EQ(ThreadAllocs(), thread_before);
+  EXPECT_EQ(sim.engine_stats().spills - before.spills, 50u);
+  EXPECT_EQ(sim.engine_stats().collapses - before.collapses, 50u);
+}
+
+TEST(SimulatorHybrid, NextEventTimeIsExactInBothModes) {
+  // The same random schedule/cancel/run steps on both engines; after every
+  // step the pooled engine's NextEventTime must equal the reference heap's
+  // top (live or cancelled), in heap mode, in wheel mode and right after a
+  // collapse.
+  Simulator wheel(SimEngine::kTimingWheel);
+  Simulator ref(SimEngine::kReference);
+  EXPECT_EQ(wheel.NextEventTime(), Simulator::kNoEventTime);
+  EXPECT_EQ(ref.NextEventTime(), Simulator::kNoEventTime);
+  uint64_t lcg = 77;
+  std::vector<EventHandle> wheel_handles;
+  std::vector<EventHandle> ref_handles;
+  int checked_after_collapse = 0;
+  int checked_in_wheel_mode = 0;
+  for (int step = 0; step < 600; ++step) {
+    const uint64_t collapses_before = wheel.engine_stats().collapses;
+    const uint64_t action = NextLcg(&lcg) % 4;
+    if (action <= 1) {
+      const uint64_t count = 1 + NextLcg(&lcg) % 60;
+      for (uint64_t i = 0; i < count; ++i) {
+        const Time when = wheel.Now() + NextLcg(&lcg) % 500'000;
+        wheel_handles.push_back(wheel.ScheduleAt(when, []() {}));
+        ref_handles.push_back(ref.ScheduleAt(when, []() {}));
+      }
+    } else if (action == 2 && !wheel_handles.empty()) {
+      const size_t victim = NextLcg(&lcg) % wheel_handles.size();
+      wheel_handles[victim].Cancel();
+      ref_handles[victim].Cancel();
+    } else {
+      const Time horizon = wheel.Now() + NextLcg(&lcg) % 200'000;
+      ASSERT_EQ(wheel.RunUntil(horizon), ref.RunUntil(horizon));
+    }
+    ASSERT_EQ(wheel.NextEventTime(), ref.NextEventTime()) << "step " << step;
+    ASSERT_EQ(wheel.pending_events(), ref.pending_events());
+    checked_after_collapse +=
+        wheel.engine_stats().collapses != collapses_before ? 1 : 0;
+    checked_in_wheel_mode += wheel.pending_events() > Simulator::kSpillAt;
+  }
+  EXPECT_GT(wheel.engine_stats().spills, 3u);
+  EXPECT_GT(checked_after_collapse, 3);
+  EXPECT_GT(checked_in_wheel_mode, 10);
+}
+
+TEST(SimulatorHybrid, NextEventTimeCollapsesAfterStop) {
+  // A Stop() that leaves at most kCollapseAt pending in wheel mode exits
+  // before the run loop's refill; NextEventTime then does the collapse.
+  Simulator sim(SimEngine::kTimingWheel);
+  const Time last = 1'000 * (Simulator::kSpillAt + 1);
+  for (Time when = 1'000; when <= last; when += 1'000) {
+    sim.ScheduleAt(when, [&sim, when, last]() {
+      if (when == last - 1'000 * Simulator::kCollapseAt) {
+        sim.Stop();
+      }
+    });
+  }
+  ASSERT_EQ(sim.engine_stats().spills, 1u);
+  sim.RunToCompletion();
+  EXPECT_EQ(sim.pending_events(), Simulator::kCollapseAt);
+  EXPECT_EQ(sim.engine_stats().collapses, 0u);
+  EXPECT_EQ(sim.NextEventTime(), last - 1'000 * (Simulator::kCollapseAt - 1));
+  EXPECT_EQ(sim.engine_stats().collapses, 1u);
+  sim.RunToCompletion();
+  EXPECT_EQ(sim.Now(), last);
+}
+
+TEST(SimulatorHybrid, SpillAndCollapseCountsAreExact) {
+  Simulator sim(SimEngine::kTimingWheel);
+  // One event per 1 us, so every level-0 tick holds at most one event and
+  // the ready heap empties after each dispatch.
+  Time next = 0;
+  auto schedule = [&](size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      next += 1'000;
+      sim.ScheduleAt(next, []() {});
+    }
+  };
+  auto stats = [&sim]() {
+    return std::vector<uint64_t>{sim.engine_stats().spills,
+                                 sim.engine_stats().collapses};
+  };
+  schedule(Simulator::kSpillAt);
+  EXPECT_EQ(stats(), (std::vector<uint64_t>{0, 0}));
+  schedule(1);
+  EXPECT_EQ(stats(), (std::vector<uint64_t>{1, 0}));
+  // Hysteresis: draining to kCollapseAt + 1 and refilling well past
+  // kSpillAt stays in wheel mode.
+  const size_t to_drain = Simulator::kSpillAt - Simulator::kCollapseAt;
+  sim.RunUntil(sim.Now() + 1'000 * to_drain);
+  EXPECT_EQ(sim.pending_events(), Simulator::kCollapseAt + 1);
+  schedule(2 * Simulator::kSpillAt);
+  EXPECT_EQ(stats(), (std::vector<uint64_t>{1, 0}));
+  // Drain to exactly kCollapseAt: the next refill collapses.
+  sim.RunUntil(sim.Now() + 1'000 * (2 * Simulator::kSpillAt + 1));
+  EXPECT_EQ(sim.pending_events(), Simulator::kCollapseAt);
+  EXPECT_EQ(stats(), (std::vector<uint64_t>{1, 1}));
+  // Heap mode again: filling to kSpillAt does not spill, one more does.
+  schedule(Simulator::kSpillAt - Simulator::kCollapseAt);
+  EXPECT_EQ(stats(), (std::vector<uint64_t>{1, 1}));
+  schedule(1);
+  EXPECT_EQ(stats(), (std::vector<uint64_t>{2, 1}));
+  sim.RunToCompletion();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.Now(), next);
+  EXPECT_EQ(stats(), (std::vector<uint64_t>{2, 2}));
+  // An empty engine stays in heap mode.
+  sim.RunUntil(next + 1'000'000);
+  EXPECT_EQ(stats(), (std::vector<uint64_t>{2, 2}));
 }
 
 TEST(Simulator, DefaultEngineOverrideIsHonored) {
