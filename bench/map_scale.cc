@@ -1,6 +1,6 @@
-// Map data-plane scaling: the swiss-table HashMap against the legacy
-// chained map across entry counts, under contended reads, and through the
-// batched lookup path, machine-readable.
+// Map data-plane scaling: the swiss-table HashMap against the chained map
+// (the test oracle in tests/oracles/) across entry counts, under contended
+// reads, and through the batched lookup path, machine-readable.
 //
 // Three scenarios:
 //
@@ -39,8 +39,8 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/map/chained_hash_map.h"
 #include "src/map/hash_map.h"
+#include "tests/oracles/chained_hash_map.h"
 
 namespace syrup {
 namespace {

@@ -10,9 +10,11 @@
 //   cross_heavy  30% of continuations hop to the neighbor shard through
 //                the SPSC channels (the rack east-west shape)
 //
-// Writes `BENCH_sim_parallel.json` (shards -> events/sec per scenario plus
-// the N-shard:1-shard speedups). `--baseline <file>` gates the 4-shard
-// speedup against the checked-in floor (steady >= 1.8x); the gate needs at
+// Each shard count is measured kRounds times, in alternating rounds, and
+// its best events/sec is kept. Writes `BENCH_sim_parallel.json` (shards ->
+// events/sec per scenario plus the N-shard:1-shard speedups).
+// `--baseline <file>` gates the 4-shard speedup against the checked-in
+// floors (steady >= 1.8x, cross_heavy >= 1.25x); the gate needs at
 // least 4 hardware threads and reports itself as skipped otherwise, and
 // shard counts beyond hardware_concurrency are skipped rather than
 // measured oversubscribed (a spinning barrier on a timeshared core
@@ -40,6 +42,7 @@ namespace syrup {
 namespace {
 
 constexpr int kShardCounts[] = {1, 2, 4, 8};
+constexpr int kRounds = 5;
 constexpr uint64_t kChainsPerShard = 512;
 constexpr Duration kLookahead = 2 * kMicrosecond;
 
@@ -144,31 +147,42 @@ int Run(bool quick, const char* out_path, const char* baseline_path) {
   };
 
   std::printf("# sim_parallel: sharded engine scaling (%s mode, %u hw "
-              "threads, %llu events/shard)\n",
+              "threads, %llu events/shard, best of %d rounds)\n",
               quick ? "quick" : "full", cores,
-              static_cast<unsigned long long>(events_per_shard));
+              static_cast<unsigned long long>(events_per_shard), kRounds);
   std::printf("%-12s %7s %14s %9s %10s %10s\n", "scenario", "shards",
               "events/sec", "speedup", "rounds", "messages");
 
-  // results[scenario][shards] = events/sec; speedups vs the 1-shard row.
+  // results[scenario][shards] = the best of kRounds runs; speedups vs the
+  // 1-shard row. Each round runs every shard count once, so the 1-shard and
+  // N-shard runs alternate and a burst of load from other tenants of a
+  // shared machine lands on one round of each side instead of on one side.
   std::map<std::string, std::map<int, RunResult>> results;
   for (const Scenario& sc : scenarios) {
-    double base = 0;
+    std::map<int, RunResult>& rows = results[sc.name];
+    for (int round = 0; round < kRounds; ++round) {
+      for (int shards : kShardCounts) {
+        if (cores != 0 && static_cast<unsigned>(shards) > cores) {
+          continue;
+        }
+        const RunResult r =
+            RunScaling(shards, events_per_shard, sc.cross_mille);
+        const auto [it, first] = rows.try_emplace(shards, r);
+        if (!first && r.events_per_sec > it->second.events_per_sec) {
+          it->second = r;
+        }
+      }
+    }
     for (int shards : kShardCounts) {
-      if (cores != 0 && static_cast<unsigned>(shards) > cores) {
+      if (!rows.count(shards)) {
         std::printf("%-12s %7d %14s (skipped: > %u hw threads)\n", sc.name,
                     shards, "-", cores);
         continue;
       }
-      const RunResult r = RunScaling(shards, events_per_shard,
-                                     sc.cross_mille);
-      results[sc.name][shards] = r;
-      if (shards == 1) {
-        base = r.events_per_sec;
-      }
+      const RunResult& r = rows.at(shards);
+      const double base = rows.at(1).events_per_sec;
       std::printf("%-12s %7d %14.0f %8.2fx %10llu %10llu\n", sc.name, shards,
-                  r.events_per_sec,
-                  base > 0 ? r.events_per_sec / base : 0.0,
+                  r.events_per_sec, r.events_per_sec / base,
                   static_cast<unsigned long long>(r.rounds),
                   static_cast<unsigned long long>(r.messages));
     }

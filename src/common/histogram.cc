@@ -12,7 +12,10 @@ Histogram::Histogram(uint64_t max_value)
     : max_value_(max_value),
       min_seen_(std::numeric_limits<uint64_t>::max()) {
   SYRUP_CHECK_GT(max_value, 0u);
-  buckets_.assign(BucketIndex(max_value) + 1, 0);
+}
+
+void Histogram::AllocateBuckets() {
+  buckets_.assign(BucketIndex(max_value_) + 1, 0);
 }
 
 size_t Histogram::BucketIndex(uint64_t value) const {
@@ -45,6 +48,9 @@ void Histogram::RecordN(uint64_t value, uint64_t count) {
   if (count == 0) {
     return;
   }
+  if (buckets_.empty()) {
+    AllocateBuckets();
+  }
   buckets_[BucketIndex(value)] += count;
   total_count_ += count;
   sum_ += value * count;
@@ -57,7 +63,13 @@ void Histogram::RecordN(uint64_t value, uint64_t count) {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  SYRUP_CHECK_EQ(buckets_.size(), other.buckets_.size());
+  SYRUP_CHECK_EQ(max_value_, other.max_value_);
+  if (other.total_count_ == 0) {
+    return;
+  }
+  if (buckets_.empty()) {
+    AllocateBuckets();
+  }
   for (size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }

@@ -1,11 +1,9 @@
 #include "src/map/map.h"
 
 #include <atomic>
-#include <cstdlib>
 
 #include "src/common/logging.h"
 #include "src/map/array_map.h"
-#include "src/map/chained_hash_map.h"
 #include "src/map/hash_map.h"
 #include "src/map/prog_array.h"
 
@@ -51,16 +49,8 @@ StatusOr<std::shared_ptr<Map>> CreateMap(const MapSpec& spec) {
         return InvalidArgumentError("array map keys must be u32");
       }
       return std::shared_ptr<Map>(std::make_shared<ArrayMap>(spec));
-    case MapType::kHash: {
-      // Oracle mode (same pattern as SimEngine::kReference): the retained
-      // chained implementation stands in for the swiss table so whole
-      // suites can be diffed against the old semantics.
-      const char* ref = std::getenv("SYRUP_MAP_REFERENCE");
-      if (ref != nullptr && ref[0] == '1') {
-        return std::shared_ptr<Map>(std::make_shared<ChainedHashMap>(spec));
-      }
+    case MapType::kHash:
       return std::shared_ptr<Map>(std::make_shared<HashMap>(spec));
-    }
     case MapType::kProgArray:
       if (spec.key_size != sizeof(uint32_t) ||
           spec.value_size != sizeof(uint64_t)) {

@@ -20,7 +20,7 @@ HostStack::Metrics HostStack::DetachedMetrics() {
   m.delivered_afxdp = std::make_shared<obs::Counter>();
   m.cpu_redirects = std::make_shared<obs::Counter>();
   m.late_bound = std::make_shared<obs::Counter>();
-  m.delivery_latency_ns = std::make_shared<obs::LatencyHistogram>();
+  m.delivery_latency_ns = std::make_shared<Histogram>();
   return m;
 }
 
@@ -51,9 +51,9 @@ void HostStack::BindMetrics(obs::MetricsRegistry& registry) {
   rebind(m_.delivered_afxdp, "delivered_afxdp");
   rebind(m_.cpu_redirects, "cpu_redirects");
   rebind(m_.late_bound, "late_bound_deliveries");
-  std::shared_ptr<obs::LatencyHistogram> fresh =
+  std::shared_ptr<Histogram> fresh =
       registry.GetHistogram("host", "stack", "delivery_latency_ns");
-  fresh->MergeFrom(*m_.delivery_latency_ns);
+  fresh->Merge(*m_.delivery_latency_ns);
   m_.delivery_latency_ns = std::move(fresh);
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/common/decision.h"
+#include "src/common/histogram.h"
 #include "src/common/time.h"
 #include "src/net/packet.h"
 #include "src/net/socket.h"
@@ -264,7 +265,7 @@ class HostStack {
     std::shared_ptr<obs::Counter> cpu_redirects;
     std::shared_ptr<obs::Counter> late_bound;
     // NIC arrival -> socket enqueue, the wire-to-app half of latency.
-    std::shared_ptr<obs::LatencyHistogram> delivery_latency_ns;
+    std::shared_ptr<Histogram> delivery_latency_ns;
   };
 
   static Metrics DetachedMetrics();

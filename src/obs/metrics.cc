@@ -7,46 +7,6 @@
 
 namespace syrup::obs {
 
-uint64_t LatencyHistogram::Percentile(double pct) const {
-  if (count_ == 0) {
-    return 0;
-  }
-  if (pct < 0.0) pct = 0.0;
-  if (pct > 100.0) pct = 100.0;
-  // Rank of the target sample, 1-based, rounded up.
-  const double exact = pct / 100.0 * static_cast<double>(count_);
-  uint64_t rank = static_cast<uint64_t>(exact);
-  if (static_cast<double>(rank) < exact) {
-    ++rank;
-  }
-  if (rank == 0) {
-    rank = 1;
-  }
-  uint64_t seen = 0;
-  for (size_t bucket = 0; bucket <= kNumBuckets; ++bucket) {
-    seen += buckets_[bucket];
-    if (seen >= rank) {
-      // Clamp to the observed extremes so p100 reports max exactly.
-      const uint64_t edge = BucketUpperEdge(bucket);
-      return edge > max_ ? max_ : edge;
-    }
-  }
-  return max_;
-}
-
-void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  for (size_t bucket = 0; bucket <= kNumBuckets; ++bucket) {
-    buckets_[bucket] += other.buckets_[bucket];
-  }
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  if (other.max_ > max_) max_ = other.max_;
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 const SnapshotMetric* Snapshot::Find(std::string_view app,
                                      std::string_view hook,
                                      std::string_view metric) const {
@@ -240,13 +200,13 @@ std::shared_ptr<Gauge> MetricsRegistry::GetGauge(std::string_view app,
   return cell.gauge;
 }
 
-std::shared_ptr<LatencyHistogram> MetricsRegistry::GetHistogram(
+std::shared_ptr<syrup::Histogram> MetricsRegistry::GetHistogram(
     std::string_view app, std::string_view hook, std::string_view metric) {
   std::lock_guard<std::mutex> lock(mu_);
   Cell& cell =
       cells_[Key{std::string(app), std::string(hook), std::string(metric)}];
   if (cell.histogram == nullptr) {
-    cell.histogram = std::make_shared<LatencyHistogram>();
+    cell.histogram = std::make_shared<syrup::Histogram>();
   }
   return cell.histogram;
 }
@@ -286,7 +246,7 @@ std::shared_ptr<Gauge> MetricsRegistry::GetGaugeShard(std::string_view app,
   return shards[static_cast<size_t>(shard)];
 }
 
-std::shared_ptr<LatencyHistogram> MetricsRegistry::GetHistogramShard(
+std::shared_ptr<syrup::Histogram> MetricsRegistry::GetHistogramShard(
     std::string_view app, std::string_view hook, std::string_view metric,
     int shard) {
   SYRUP_CHECK_GE(shard, 0);
@@ -298,7 +258,7 @@ std::shared_ptr<LatencyHistogram> MetricsRegistry::GetHistogramShard(
     shards.resize(static_cast<size_t>(shard) + 1);
   }
   if (shards[static_cast<size_t>(shard)] == nullptr) {
-    shards[static_cast<size_t>(shard)] = std::make_shared<LatencyHistogram>();
+    shards[static_cast<size_t>(shard)] = std::make_shared<syrup::Histogram>();
   }
   return shards[static_cast<size_t>(shard)];
 }
@@ -337,13 +297,13 @@ Snapshot MetricsRegistry::TakeSnapshot() const {
       metrics[has_counter ? key.metric + ".gauge" : key.metric] = m;
     }
     if (cell.histogram != nullptr || !cell.histogram_shards.empty()) {
-      LatencyHistogram merged;
+      syrup::Histogram merged;
       if (cell.histogram != nullptr) {
-        merged.MergeFrom(*cell.histogram);
+        merged.Merge(*cell.histogram);
       }
       for (const auto& shard : cell.histogram_shards) {
         if (shard != nullptr) {
-          merged.MergeFrom(*shard);
+          merged.Merge(*shard);
         }
       }
       SnapshotMetric m;

@@ -24,7 +24,6 @@
 #define SYRUP_SRC_OBS_METRICS_H_
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -32,6 +31,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "src/common/histogram.h"
 
 namespace syrup::obs {
 
@@ -77,58 +78,10 @@ struct Gauge {
   }
 };
 
-// Fixed-bucket latency histogram: bucket b holds samples whose bit width
-// is b, i.e. [2^(b-1), 2^b). Power-of-two buckets bound the relative
-// quantile error at 2x while keeping Record() a shift and an increment —
-// cheap enough for always-on rx-to-delivery accounting. (Contrast
-// src/common/histogram.h, the high-resolution HDR variant the benches use
-// for reported latency numbers.)
-class LatencyHistogram {
- public:
-  static constexpr size_t kNumBuckets = 64;
-
-  void Record(uint64_t sample) {
-    buckets_[BucketOf(sample)] += 1;
-    count_ += 1;
-    sum_ += sample;
-    if (count_ == 1 || sample < min_) min_ = sample;
-    if (sample > max_) max_ = sample;
-  }
-
-  uint64_t count() const { return count_; }
-  uint64_t min() const { return count_ == 0 ? 0 : min_; }
-  uint64_t max() const { return max_; }
-  double Mean() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) / static_cast<double>(count_);
-  }
-
-  // Upper edge of the bucket containing the pct-th percentile sample
-  // (pct in [0, 100]). 0 when empty.
-  uint64_t Percentile(double pct) const;
-
-  // Adds another histogram's samples into this one (BindMetrics carry-over).
-  void MergeFrom(const LatencyHistogram& other);
-
-  uint64_t BucketCount(size_t bucket) const { return buckets_[bucket]; }
-
-  static size_t BucketOf(uint64_t sample) {
-    return static_cast<size_t>(std::bit_width(sample));
-  }
-  // Largest value the bucket can hold (its representative in summaries).
-  static uint64_t BucketUpperEdge(size_t bucket) {
-    if (bucket == 0) return 0;
-    if (bucket >= 64) return ~uint64_t{0};
-    return (uint64_t{1} << bucket) - 1;
-  }
-
- private:
-  uint64_t buckets_[kNumBuckets + 1] = {};  // +1: bit_width ranges 0..64
-  uint64_t count_ = 0;
-  uint64_t sum_ = 0;
-  uint64_t min_ = 0;
-  uint64_t max_ = 0;
-};
+// Histogram cells are syrup::Histogram (src/common/histogram.h): log-linear
+// buckets bound the relative quantile error at ~1/32, Record() is a
+// count-leading-zeros, a shift and an increment, and Merge() folds shard
+// cells at snapshot time.
 
 // Summary of one histogram inside a snapshot.
 struct HistogramSummary {
@@ -188,7 +141,7 @@ class MetricsRegistry {
                                       std::string_view metric);
   std::shared_ptr<Gauge> GetGauge(std::string_view app, std::string_view hook,
                                   std::string_view metric);
-  std::shared_ptr<LatencyHistogram> GetHistogram(std::string_view app,
+  std::shared_ptr<syrup::Histogram> GetHistogram(std::string_view app,
                                                  std::string_view hook,
                                                  std::string_view metric);
 
@@ -205,7 +158,7 @@ class MetricsRegistry {
   std::shared_ptr<Gauge> GetGaugeShard(std::string_view app,
                                        std::string_view hook,
                                        std::string_view metric, int shard);
-  std::shared_ptr<LatencyHistogram> GetHistogramShard(std::string_view app,
+  std::shared_ptr<syrup::Histogram> GetHistogramShard(std::string_view app,
                                                       std::string_view hook,
                                                       std::string_view metric,
                                                       int shard);
@@ -224,11 +177,11 @@ class MetricsRegistry {
   struct Cell {
     std::shared_ptr<Counter> counter;
     std::shared_ptr<Gauge> gauge;
-    std::shared_ptr<LatencyHistogram> histogram;
+    std::shared_ptr<syrup::Histogram> histogram;
     // Indexed by shard id; entries are created lazily by Get*Shard.
     std::vector<std::shared_ptr<Counter>> counter_shards;
     std::vector<std::shared_ptr<Gauge>> gauge_shards;
-    std::vector<std::shared_ptr<LatencyHistogram>> histogram_shards;
+    std::vector<std::shared_ptr<syrup::Histogram>> histogram_shards;
   };
 
   mutable std::mutex mu_;

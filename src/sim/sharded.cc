@@ -41,10 +41,9 @@ ShardedSim::ShardedSim(ShardedSimConfig config)
     : config_(config), barrier_(config.shards) {
   SYRUP_CHECK_GE(config_.shards, 1);
   SYRUP_CHECK_GE(config_.lookahead, 1u) << "lookahead must be positive";
-  const SimEngine engine = Simulator::DefaultEngine();
   shards_.reserve(static_cast<size_t>(config_.shards));
   for (int i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<ShardState>(engine));
+    shards_.push_back(std::make_unique<ShardState>());
   }
   channels_.resize(static_cast<size_t>(config_.shards) *
                    static_cast<size_t>(config_.shards));

@@ -209,7 +209,6 @@ class ShardedSim {
 
  private:
   struct ShardState {
-    explicit ShardState(SimEngine engine) : sim(engine) {}
     Simulator sim;
     std::vector<ShardMessage> staging;  // drained, not yet scheduled
     alignas(64) std::atomic<Time> announced{0};

@@ -2,44 +2,16 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <optional>
-#include <utility>
 
 namespace syrup {
 namespace {
 
 constexpr uint64_t kNoTick = std::numeric_limits<uint64_t>::max();
 
-// Process-wide default-engine override (benches / differential tests).
-std::optional<SimEngine>& DefaultEngineOverride() {
-  static std::optional<SimEngine> override_value;
-  return override_value;
-}
-
 }  // namespace
 
-SimEngine Simulator::DefaultEngine() {
-  if (DefaultEngineOverride().has_value()) {
-    return *DefaultEngineOverride();
-  }
-  const char* env = std::getenv("SYRUP_SIM_REFERENCE_ENGINE");
-  if (env != nullptr &&
-      (std::strcmp(env, "1") == 0 || std::strcmp(env, "true") == 0)) {
-    return SimEngine::kReference;
-  }
-  return SimEngine::kTimingWheel;
-}
-
-void Simulator::SetDefaultEngine(SimEngine engine) {
-  DefaultEngineOverride() = engine;
-}
-
-void Simulator::ResetDefaultEngine() { DefaultEngineOverride().reset(); }
-
-Simulator::Simulator(SimEngine engine) : engine_(engine) {
+Simulator::Simulator() {
   for (auto& level : buckets_) {
     for (uint32_t& head : level) {
       head = kNil;
@@ -323,9 +295,6 @@ bool Simulator::RefillReady(Time horizon) {
 }
 
 Time Simulator::NextEventTime() {
-  if (engine_ == SimEngine::kReference) {
-    return ref_queue_.empty() ? kNoEventTime : ref_queue_.top().when;
-  }
   // In heap mode the front is exact. In wheel mode, RefillReady with an
   // unbounded horizon advances the wheel far enough to surface the
   // globally-next event in the ready heap (or collapses), making the bound
@@ -371,16 +340,12 @@ uint64_t Simulator::RunImpl(Time horizon, bool advance_clock_on_idle) {
 }
 
 uint64_t Simulator::RunUntil(Time horizon) {
-  return engine_ == SimEngine::kReference
-             ? RunReference(horizon, /*advance_clock_on_idle=*/true)
-             : RunImpl(horizon, /*advance_clock_on_idle=*/true);
+  return RunImpl(horizon, /*advance_clock_on_idle=*/true);
 }
 
 uint64_t Simulator::RunToCompletion() {
-  const Time horizon = std::numeric_limits<Time>::max();
-  return engine_ == SimEngine::kReference
-             ? RunReference(horizon, /*advance_clock_on_idle=*/false)
-             : RunImpl(horizon, /*advance_clock_on_idle=*/false);
+  return RunImpl(std::numeric_limits<Time>::max(),
+                 /*advance_clock_on_idle=*/false);
 }
 
 bool Simulator::PooledValid(uint32_t idx, uint32_t gen) const {
@@ -401,44 +366,6 @@ void Simulator::CancelPooled(uint32_t idx, uint32_t gen) {
   }
   slot.cancelled = true;
   ++stats_.cancelled;
-}
-
-EventHandle Simulator::ScheduleReference(Time when, std::function<void()> fn) {
-  auto cancelled = std::make_shared<bool>(false);
-  ref_queue_.push(RefEvent{when, next_seq_++, std::move(fn), cancelled});
-  ++stats_.scheduled;
-  return EventHandle(std::move(cancelled));
-}
-
-uint64_t Simulator::RunReference(Time horizon, bool advance_clock_on_idle) {
-  stopped_ = false;
-  uint64_t dispatched = 0;
-  while (!ref_queue_.empty() && !stopped_) {
-    const RefEvent& top = ref_queue_.top();
-    if (top.when > horizon) {
-      break;
-    }
-    // Moving out of the priority queue requires a const_cast because
-    // std::priority_queue only exposes a const top(); the element is popped
-    // immediately after so the heap invariant is never observed broken.
-    RefEvent event = std::move(const_cast<RefEvent&>(top));
-    ref_queue_.pop();
-    if (*event.cancelled) {
-      continue;
-    }
-    now_ = event.when;
-    // Dispatch invalidates handles, matching the pooled engine's generation
-    // bump before the callback runs (valid() -> false, Cancel() -> no-op,
-    // including from inside the callback itself).
-    *event.cancelled = true;
-    event.fn();
-    ++dispatched;
-  }
-  stats_.dispatched += dispatched;
-  if (advance_clock_on_idle && ref_queue_.empty() && now_ < horizon) {
-    now_ = horizon;
-  }
-  return dispatched;
 }
 
 }  // namespace syrup

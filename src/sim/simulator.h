@@ -5,48 +5,40 @@
 // engine dispatches them in (time, insertion-sequence) order, so identical
 // seeds replay identical executions.
 //
-// Two interchangeable engines implement that contract:
+// Steady state allocates nothing. Events live in a slab-allocated pool with
+// intrusive freelist/bucket links, and callbacks are stored inline (up to
+// kInlineCallbackBytes of captures; larger closures fall back to the heap
+// and are counted). Pending events have two representations, chosen by how
+// many there are:
+//   - Heap mode (at most kSpillAt pending): every pending event sits in one
+//     (time, seq) binary heap. The paper's configurations run here
+//     (perfbench's workloads peak at 14-19 pending), where a few compares
+//     beat any refiling.
+//   - Wheel mode (entered when the heap would exceed kSpillAt): events move
+//     to a 4-level x 64-slot hierarchical timing wheel (256 ns level-0
+//     ticks; the wheel addresses the aligned ~4.3 s window containing the
+//     current tick, with a min-heap overflow beyond it). Events at or before
+//     the current wheel position stay in the same (time, seq) heap, so
+//     schedule/dispatch cost stays O(1) amortized for deep pending sets. The
+//     engine collapses back to heap mode once the heap drains with at most
+//     kCollapseAt events pending.
+// Both modes dispatch in exact (time, seq) order, so the order is
+// bit-identical to a single global heap whichever mode an event passes
+// through.
 //
-//  * kTimingWheel (default): zero-allocation steady state. Events live in a
-//    slab-allocated pool with intrusive freelist/bucket links, and callbacks
-//    are stored inline (up to kInlineCallbackBytes of captures; larger
-//    closures fall back to the heap and are counted). Pending events have
-//    two representations, chosen by how many there are:
-//      - Heap mode (at most kSpillAt pending): every pending event sits in
-//        one (time, seq) binary heap. The paper's configurations run here
-//        (perfbench's workloads peak at 14-19 pending), where a few
-//        compares beat any refiling.
-//      - Wheel mode (entered when the heap would exceed kSpillAt): events
-//        move to a 4-level x 64-slot hierarchical timing wheel (256 ns
-//        level-0 ticks; the wheel addresses the aligned ~4.3 s window
-//        containing the current tick, with a min-heap overflow beyond it).
-//        Events at or before the current wheel position stay in the same
-//        (time, seq) heap, so schedule/dispatch cost stays O(1) amortized
-//        for deep pending sets. The engine collapses back to heap mode once
-//        the heap drains with at most kCollapseAt events pending.
-//    Both modes dispatch in exact (time, seq) order, so the order is
-//    bit-identical to a single global heap whichever mode an event passes
-//    through.
-//
-//  * kReference: the original std::function + shared_ptr<bool> +
-//    std::priority_queue engine, kept verbatim as a differential oracle.
-//    Select it per-simulator via the constructor, process-wide via
-//    Simulator::SetDefaultEngine(), or for a whole run with the
-//    SYRUP_SIM_REFERENCE_ENGINE=1 environment variable.
-//
-// Determinism is contractual: both engines dispatch the exact same events in
-// the exact same order for the same schedule/cancel sequence (asserted by
-// differential tests over the paper's fig2/fig9 experiment configs).
+// Determinism is contractual. tests/oracles/reference_simulator.h keeps the
+// original std::priority_queue engine as a differential oracle: sim_test
+// replays random schedule/cancel programs on both and compares every
+// dispatch, and engine_differential_test pins the fig2/fig9 experiment
+// outputs to golden values.
 #ifndef SYRUP_SRC_SIM_SIMULATOR_H_
 #define SYRUP_SRC_SIM_SIMULATOR_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -58,18 +50,11 @@ namespace syrup {
 
 class Simulator;
 
-enum class SimEngine {
-  kTimingWheel,  // pooled events, small-set heap / timing wheel (default)
-  kReference,    // original heap engine, kept as a differential oracle
-};
-
 // Handle used to cancel a pending event. Cancellation is O(1): the event is
 // marked dead and skipped at dispatch time. Once the event fires (or its
 // pool slot is recycled), stale handles become inert — Cancel() on them is a
-// no-op and valid() returns false — and both engines agree on this: the
-// pooled engine bumps the slot generation and the reference engine sets the
-// shared cancellation cell at dispatch. Handles must not outlive their
-// Simulator.
+// no-op and valid() returns false — because the engine bumps the slot
+// generation. Handles must not outlive their Simulator.
 class EventHandle {
  public:
   EventHandle() = default;
@@ -81,15 +66,11 @@ class EventHandle {
   friend class Simulator;
   EventHandle(Simulator* sim, uint32_t slot, uint32_t gen)
       : sim_(sim), slot_(slot), gen_(gen) {}
-  explicit EventHandle(std::shared_ptr<bool> cancelled)
-      : cancelled_(std::move(cancelled)) {}
 
-  // Pooled-engine identity: (slot, generation) into sim_'s event pool.
+  // (slot, generation) into sim_'s event pool.
   Simulator* sim_ = nullptr;
   uint32_t slot_ = 0;
   uint32_t gen_ = 0;
-  // Reference-engine identity: shared cancellation cell (null in wheel mode).
-  std::shared_ptr<bool> cancelled_;
 };
 
 class Simulator {
@@ -114,10 +95,10 @@ class Simulator {
     }
   };
 
-  // Pooled-engine mode thresholds (see the file comment). The engine spills
-  // once the heap would hold more than kSpillAt events and collapses once a
-  // drained heap leaves at most kCollapseAt pending; the gap keeps a pending
-  // count that hovers near one threshold from switching on every event.
+  // Mode thresholds (see the file comment). The engine spills once the heap
+  // would hold more than kSpillAt events and collapses once a drained heap
+  // leaves at most kCollapseAt pending; the gap keeps a pending count that
+  // hovers near one threshold from switching on every event.
   // Chosen from a steady-state depth sweep (`bench/sim_events` shape, min of
   // 6, 4-core shared x86-64 VM), ns/event heap-only vs wheel-only at
   // 16/32/64/128/256/1024 pending:
@@ -130,21 +111,11 @@ class Simulator {
   static constexpr size_t kSpillAt = 128;
   static constexpr size_t kCollapseAt = 32;
 
-  Simulator() : Simulator(DefaultEngine()) {}
-  explicit Simulator(SimEngine engine);
+  Simulator();
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Engine used when none is given: SetDefaultEngine() override if set,
-  // else kReference when SYRUP_SIM_REFERENCE_ENGINE is 1/true in the
-  // environment, else kTimingWheel.
-  static SimEngine DefaultEngine();
-  // Process-wide override for benches/differential tests.
-  static void SetDefaultEngine(SimEngine engine);
-  static void ResetDefaultEngine();
-
-  SimEngine engine() const { return engine_; }
   const EngineStats& engine_stats() const { return stats_; }
 
   Time Now() const { return now_; }
@@ -153,9 +124,6 @@ class Simulator {
   template <typename F>
   EventHandle ScheduleAt(Time when, F&& fn) {
     SYRUP_CHECK_GE(when, now_) << "event scheduled in the past";
-    if (engine_ == SimEngine::kReference) {
-      return ScheduleReference(when, std::function<void()>(std::forward<F>(fn)));
-    }
     const uint32_t idx = AllocSlot();
     EventSlot& slot = SlotAt(idx);
     slot.when = when;
@@ -180,8 +148,8 @@ class Simulator {
 
   // Exact timestamp of the next pending event (live or cancelled — a
   // cancelled event is still a valid conservative lower bound, and popping
-  // it makes progress), or kNoEventTime when the queue is empty. The pooled
-  // engine may advance the wheel position to find it; that performs the
+  // it makes progress), or kNoEventTime when the queue is empty. It may
+  // advance the wheel position to find it; that performs the
   // same cascades a Run* call would and so never perturbs dispatch order.
   // Used by the sharded engine to announce per-shard horizons.
   Time NextEventTime();
@@ -197,14 +165,10 @@ class Simulator {
   void Stop() { stopped_ = true; }
 
   // Includes cancelled-but-not-yet-popped events.
-  size_t pending_events() const {
-    return engine_ == SimEngine::kReference ? ref_queue_.size() : pending_;
-  }
+  size_t pending_events() const { return pending_; }
 
  private:
   friend class EventHandle;
-
-  // --- pooled timing-wheel engine -----------------------------------------
 
   static constexpr uint32_t kNil = 0xffffffffu;
   static constexpr uint32_t kSlabSize = 256;  // slots per pool slab
@@ -320,35 +284,11 @@ class Simulator {
 
   uint64_t RunImpl(Time horizon, bool advance_clock_on_idle);
 
-  // --- reference engine (the original implementation) ---------------------
-
-  struct RefEvent {
-    Time when;
-    uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
-
-    // Min-heap by (when, seq): std::priority_queue is a max-heap, so invert.
-    bool operator<(const RefEvent& other) const {
-      if (when != other.when) {
-        return when > other.when;
-      }
-      return seq > other.seq;
-    }
-  };
-
-  EventHandle ScheduleReference(Time when, std::function<void()> fn);
-  uint64_t RunReference(Time horizon, bool advance_clock_on_idle);
-
-  // --- state ---------------------------------------------------------------
-
-  SimEngine engine_;
   Time now_ = 0;
   uint64_t next_seq_ = 0;
   bool stopped_ = false;
   EngineStats stats_;
 
-  // Pooled engine.
   std::vector<std::unique_ptr<EventSlot[]>> slabs_;
   uint32_t free_head_ = kNil;
   size_t pending_ = 0;
@@ -360,26 +300,13 @@ class Simulator {
   std::vector<HeapEntry> overflow_;  // min-heap of events beyond the window
   uint64_t occupied_[kLevels] = {};  // per-level bucket occupancy bitmap
   uint32_t buckets_[kLevels][kSlotsPerLevel];  // slot-index list heads
-
-  // Reference engine.
-  std::priority_queue<RefEvent> ref_queue_;
 };
 
 inline bool EventHandle::valid() const {
-  if (cancelled_ != nullptr) {
-    // Reference engine: dispatch sets the shared cell, so fired events read
-    // as invalid here exactly like recycled pooled slots do.
-    return !*cancelled_;
-  }
   return sim_ != nullptr && sim_->PooledValid(slot_, gen_);
 }
 
 inline void EventHandle::Cancel() {
-  if (cancelled_ != nullptr) {
-    *cancelled_ = true;
-    cancelled_ = nullptr;
-    return;
-  }
   if (sim_ != nullptr) {
     sim_->CancelPooled(slot_, gen_);
     sim_ = nullptr;

@@ -3,6 +3,8 @@
 // rendering contract documented in docs/OBSERVABILITY.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -98,36 +100,39 @@ TEST(GaugeTest, SetAndAdd) {
   EXPECT_EQ(gauge.Load(), -13);
 }
 
-TEST(LatencyHistogramTest, EmptyHistogram) {
-  LatencyHistogram histogram;
-  EXPECT_EQ(histogram.count(), 0u);
-  EXPECT_EQ(histogram.min(), 0u);
-  EXPECT_EQ(histogram.max(), 0u);
-  EXPECT_EQ(histogram.Mean(), 0.0);
-  EXPECT_EQ(histogram.Percentile(50), 0u);
-  EXPECT_EQ(histogram.Percentile(99), 0u);
+// --- Histogram cells ---------------------------------------------------------
+// Registry histograms are syrup::Histogram (src/common/histogram.h):
+// log-linear buckets, each at most 1/32 of its lower edge wide.
+
+TEST(RegistryHistogramTest, EmptyCellSummarizesToZero) {
+  MetricsRegistry registry;
+  registry.GetHistogram("app", "hook", "latency_ns");
+  const Snapshot snap = registry.TakeSnapshot();
+  const HistogramSummary* summary = snap.Histogram("app", "hook", "latency_ns");
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->count, 0u);
+  EXPECT_EQ(summary->min, 0u);
+  EXPECT_EQ(summary->max, 0u);
+  EXPECT_EQ(summary->mean, 0.0);
+  EXPECT_EQ(summary->p50, 0u);
+  EXPECT_EQ(summary->p99, 0u);
 }
 
-TEST(LatencyHistogramTest, BucketBoundaries) {
-  // Bucket b holds samples of bit width b: [2^(b-1), 2^b).
-  EXPECT_EQ(LatencyHistogram::BucketOf(0), 0u);
-  EXPECT_EQ(LatencyHistogram::BucketOf(1), 1u);
-  EXPECT_EQ(LatencyHistogram::BucketOf(2), 2u);
-  EXPECT_EQ(LatencyHistogram::BucketOf(3), 2u);
-  EXPECT_EQ(LatencyHistogram::BucketOf(4), 3u);
-  EXPECT_EQ(LatencyHistogram::BucketOf(1023), 10u);
-  EXPECT_EQ(LatencyHistogram::BucketOf(1024), 11u);
-  EXPECT_EQ(LatencyHistogram::BucketOf(~uint64_t{0}), 64u);
-
-  EXPECT_EQ(LatencyHistogram::BucketUpperEdge(0), 0u);
-  EXPECT_EQ(LatencyHistogram::BucketUpperEdge(1), 1u);
-  EXPECT_EQ(LatencyHistogram::BucketUpperEdge(2), 3u);
-  EXPECT_EQ(LatencyHistogram::BucketUpperEdge(11), 2047u);
-  EXPECT_EQ(LatencyHistogram::BucketUpperEdge(64), ~uint64_t{0});
+TEST(RegistryHistogramTest, BucketEdgeWithinOneThirtySecond) {
+  // p50 of {v, far} is the upper edge of v's bucket (the far sample keeps it
+  // from clamping to max): exact below 32, at most v/32 above v beyond.
+  for (uint64_t v = 1; v < (uint64_t{1} << 39); v = v * 3 / 2 + 1) {
+    syrup::Histogram histogram;
+    histogram.Record(v);
+    histogram.Record(uint64_t{1} << 40);
+    const uint64_t edge = histogram.Percentile(50);
+    EXPECT_GE(edge, v);
+    EXPECT_LE(edge - v, v < 32 ? 0 : v / 32) << "v " << v;
+  }
 }
 
-TEST(LatencyHistogramTest, RecordsStats) {
-  LatencyHistogram histogram;
+TEST(RegistryHistogramTest, RecordsStats) {
+  syrup::Histogram histogram;
   histogram.Record(100);
   histogram.Record(200);
   histogram.Record(300);
@@ -137,53 +142,121 @@ TEST(LatencyHistogramTest, RecordsStats) {
   EXPECT_DOUBLE_EQ(histogram.Mean(), 200.0);
 }
 
-TEST(LatencyHistogramTest, PercentileReturnsBucketUpperEdge) {
-  LatencyHistogram histogram;
-  // 90 samples in bucket 7 ([64, 128)) and 10 in bucket 11 ([1024, 2048)).
+TEST(RegistryHistogramTest, PercentileReturnsBucketUpperEdge) {
+  syrup::Histogram histogram;
+  // 90 samples in bucket [100, 101] and 10 in bucket [1472, 1503].
   for (int i = 0; i < 90; ++i) {
     histogram.Record(100);
   }
   for (int i = 0; i < 10; ++i) {
     histogram.Record(1500);
   }
-  // p50 and p90 land in the low bucket; edge 127 is within 2x of 100.
-  EXPECT_EQ(histogram.Percentile(50), 127u);
-  EXPECT_EQ(histogram.Percentile(90), 127u);
-  // p99 lands in the high bucket; its edge (2047) is clamped to max.
+  EXPECT_EQ(histogram.Percentile(50), 101u);
+  EXPECT_EQ(histogram.Percentile(90), 101u);
+  // p99 lands in the high bucket; its edge (1503) is clamped to max.
   EXPECT_EQ(histogram.Percentile(99), 1500u);
   EXPECT_EQ(histogram.Percentile(100), 1500u);
 }
 
-TEST(LatencyHistogramTest, PercentileClampedToObservedMax) {
-  LatencyHistogram histogram;
+TEST(RegistryHistogramTest, PercentileClampedToObservedMax) {
+  syrup::Histogram histogram;
   histogram.Record(1'000'000);
   // One sample: every percentile is that sample, not its bucket edge.
   EXPECT_EQ(histogram.Percentile(50), 1'000'000u);
   EXPECT_EQ(histogram.Percentile(99.9), 1'000'000u);
 }
 
-TEST(LatencyHistogramTest, MergeFrom) {
-  LatencyHistogram a;
-  LatencyHistogram b;
+TEST(RegistryHistogramTest, Merge) {
+  syrup::Histogram a;
+  syrup::Histogram b;
   a.Record(10);
   a.Record(20);
   b.Record(5);
   b.Record(4000);
-  a.MergeFrom(b);
+  a.Merge(b);
   EXPECT_EQ(a.count(), 4u);
   EXPECT_EQ(a.min(), 5u);
   EXPECT_EQ(a.max(), 4000u);
   EXPECT_DOUBLE_EQ(a.Mean(), (10 + 20 + 5 + 4000) / 4.0);
 }
 
-TEST(LatencyHistogramTest, MergeFromEmptyIsNoOp) {
-  LatencyHistogram a;
+TEST(RegistryHistogramTest, MergeEmptyIsNoOp) {
+  syrup::Histogram a;
   a.Record(10);
-  LatencyHistogram empty;
-  a.MergeFrom(empty);
+  syrup::Histogram empty;
+  a.Merge(empty);
   EXPECT_EQ(a.count(), 1u);
   EXPECT_EQ(a.min(), 10u);
   EXPECT_EQ(a.max(), 10u);
+}
+
+// Deterministic samples in [2800, 3200] ns, a delivery-latency shape. A
+// power-of-two bucketing would report p50 = 4095 for them.
+std::vector<uint64_t> NarrowSamples(size_t n, uint64_t seed) {
+  std::vector<uint64_t> samples;
+  uint64_t lcg = seed;
+  for (size_t i = 0; i < n; ++i) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    samples.push_back(2800 + (lcg >> 33) % 401);
+  }
+  return samples;
+}
+
+// The pct-th order statistic: the ceil(pct/100 * n)-th smallest sample.
+uint64_t OrderStatistic(std::vector<uint64_t> samples, double pct) {
+  std::sort(samples.begin(), samples.end());
+  const double rank =
+      std::ceil(pct / 100.0 * static_cast<double>(samples.size()));
+  return samples[static_cast<size_t>(std::max(rank, 1.0)) - 1];
+}
+
+void ExpectWithinOneThirtySecond(uint64_t reported, uint64_t truth) {
+  const double error =
+      std::abs(static_cast<double>(reported) - static_cast<double>(truth));
+  EXPECT_LE(error, static_cast<double>(truth) / 32.0)
+      << "reported " << reported << " true " << truth;
+}
+
+TEST(RegistryHistogramTest, SnapshotPercentilesWithinOneThirtySecond) {
+  MetricsRegistry registry;
+  auto histogram = registry.GetHistogram("host", "stack", "delivery_ns");
+  const std::vector<uint64_t> samples = NarrowSamples(10'000, 3);
+  for (const uint64_t sample : samples) {
+    histogram->Record(sample);
+  }
+  const Snapshot snap = registry.TakeSnapshot();
+  const HistogramSummary* summary =
+      snap.Histogram("host", "stack", "delivery_ns");
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->count, samples.size());
+  ExpectWithinOneThirtySecond(summary->p50, OrderStatistic(samples, 50));
+  ExpectWithinOneThirtySecond(summary->p99, OrderStatistic(samples, 99));
+  EXPECT_LE(summary->p99, summary->max);
+}
+
+TEST(RegistryHistogramTest, ShardCellsFoldIntoOneSummary) {
+  // The base cell and two shard cells under one key merge at snapshot time;
+  // the folded percentiles keep the 1/32 bound over the union.
+  MetricsRegistry registry;
+  std::vector<uint64_t> all;
+  std::vector<std::shared_ptr<syrup::Histogram>> cells = {
+      registry.GetHistogram("app", "hook", "latency_ns"),
+      registry.GetHistogramShard("app", "hook", "latency_ns", 0),
+      registry.GetHistogramShard("app", "hook", "latency_ns", 2)};
+  for (size_t i = 0; i < cells.size(); ++i) {
+    for (const uint64_t sample : NarrowSamples(1'000 * (i + 1), 11 + i)) {
+      cells[i]->Record(sample);
+      all.push_back(sample);
+    }
+  }
+  const Snapshot snap = registry.TakeSnapshot();
+  const HistogramSummary* summary = snap.Histogram("app", "hook", "latency_ns");
+  ASSERT_NE(summary, nullptr);
+  EXPECT_EQ(summary->count, all.size());
+  EXPECT_EQ(summary->min, *std::min_element(all.begin(), all.end()));
+  EXPECT_EQ(summary->max, *std::max_element(all.begin(), all.end()));
+  ExpectWithinOneThirtySecond(summary->p50, OrderStatistic(all, 50));
+  ExpectWithinOneThirtySecond(summary->p99, OrderStatistic(all, 99));
 }
 
 TEST(SnapshotTest, ShapeAndReaders) {

@@ -1,12 +1,12 @@
-// Chained hash map: the pre-swiss-table HashMap, retained on purpose.
+// Chained hash map: the pre-swiss-table HashMap, kept as a test oracle.
 //
 // This was the shipping hash map before the lock-free swiss-table rebuild
-// (src/map/hash_map.h). It stays in the tree for three jobs:
+// (src/map/hash_map.h). It lives in the test tree, not in src/, for three
+// jobs:
 //
 //   1. Differential oracle: map_test drives randomized op sequences against
 //      both implementations and compares every observable (the same pattern
-//      as SimEngine::kReference). CreateMap builds this class when
-//      SYRUP_MAP_REFERENCE=1 so whole suites can run against the oracle.
+//      as tests/oracles/reference_simulator.h for the event engine).
 //   2. Mutex baseline: bench/map_scale measures the lock-free read path
 //      against these shared_mutex buckets (the >=3x contended-read gate).
 //   3. Documentation of the bug the rebuild closes: DoLookup here returns
@@ -15,8 +15,8 @@
 //      a latent use-after-free. The swiss table closes it by construction
 //      (value storage is never freed while the map lives; slot reuse is
 //      epoch-gated). Do NOT use this class with concurrent delete traffic.
-#ifndef SYRUP_SRC_MAP_CHAINED_HASH_MAP_H_
-#define SYRUP_SRC_MAP_CHAINED_HASH_MAP_H_
+#ifndef SYRUP_TESTS_ORACLES_CHAINED_HASH_MAP_H_
+#define SYRUP_TESTS_ORACLES_CHAINED_HASH_MAP_H_
 
 #include <atomic>
 #include <cstring>
@@ -177,4 +177,4 @@ class ChainedHashMap : public Map {
 
 }  // namespace syrup
 
-#endif  // SYRUP_SRC_MAP_CHAINED_HASH_MAP_H_
+#endif  // SYRUP_TESTS_ORACLES_CHAINED_HASH_MAP_H_

@@ -4,9 +4,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
+#include "tests/oracles/reference_simulator.h"
 
 // Global allocation counter for the zero-allocation assertions. Sanitizer
 // builds interpose their own allocator, so counting is compiled out there.
@@ -48,6 +51,17 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace syrup {
 namespace {
+
+// A handle is a plain {Simulator*, slot, generation} triple: copying one
+// touches no reference count.
+static_assert(std::is_trivially_copyable_v<EventHandle> &&
+              sizeof(EventHandle) == 16);
+
+// The handle type an engine (Simulator or the ReferenceSimulator oracle)
+// returns from ScheduleAt.
+template <typename Sim>
+using HandleOf = decltype(std::declval<Sim&>().ScheduleAt(
+    Time{}, std::declval<void (*)()>()));
 
 uint64_t ThreadAllocs() {
 #if SYRUP_COUNT_GLOBAL_ALLOCS
@@ -181,7 +195,7 @@ TEST(SimulatorDeathTest, SchedulingInThePastAborts) {
 // --- pooled-engine specifics ------------------------------------------------
 
 TEST(SimulatorPool, StaleHandleCannotTouchRecycledSlot) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   bool a_fired = false;
   bool b_fired = false;
   EventHandle a = sim.ScheduleAt(10, [&]() { a_fired = true; });
@@ -198,7 +212,7 @@ TEST(SimulatorPool, StaleHandleCannotTouchRecycledSlot) {
 }
 
 TEST(SimulatorPool, SelfCancelDuringDispatchIsInert) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   EventHandle handle;
   bool chained_fired = false;
   handle = sim.ScheduleAt(10, [&]() {
@@ -236,7 +250,7 @@ void ParkWheelFill(Simulator& sim) {
 }
 
 TEST(SimulatorPool, StopMidDispatchPreservesWheelState) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   ParkWheelFill(sim);
   std::vector<int> order;
   // Spread across many level-0 ticks and into level 1.
@@ -257,7 +271,7 @@ TEST(SimulatorPool, StopMidDispatchPreservesWheelState) {
 }
 
 TEST(SimulatorPool, FarFutureTimersCrossWheelLevelsAndOverflow) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   ParkWheelFill(sim);
   const uint64_t parked_overflow = sim.engine_stats().overflow_inserts;
   // Exponentially spread timers: levels 0..3 and, beyond ~4.3 s, the
@@ -286,7 +300,7 @@ TEST(SimulatorPool, FullLevelRevolutionDistanceIsNotLost) {
   // (dispatch at tick 63, then +4095 ticks => level-1 window delta of
   // exactly 64) used to be filed into the bucket covering cur_tick_, which
   // NextOccupiedTick treats as always empty — the event never fired.
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   ParkWheelFill(sim);
   bool fired = false;
   sim.ScheduleAt(63 * 256, [&]() {
@@ -316,7 +330,7 @@ TEST(SimulatorPool, RevolutionBoundariesFireFromEveryAnchor) {
     for (int level = 1; level <= 4; ++level) {
       const uint64_t revolution = uint64_t{1} << (6 * level);
       for (const uint64_t delta : {revolution - 1, revolution, revolution + 1}) {
-        Simulator sim(SimEngine::kTimingWheel);
+        Simulator sim;
         ParkWheelFill(sim);
         Time fired = 0;
         sim.ScheduleAt(anchor, [&sim, &fired, delta]() {
@@ -342,7 +356,7 @@ TEST(SimulatorPool, EarlierEventScheduledAfterPartialRunDispatchesFirst) {
   // then scheduled into the skipped gap underflowed the insertion distance,
   // landed in overflow, and dispatched after the later event — with Now()
   // running backward.
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   ParkWheelFill(sim);
   std::vector<Time> fired;
   auto record = [&fired, &sim]() { fired.push_back(sim.Now()); };
@@ -354,17 +368,20 @@ TEST(SimulatorPool, EarlierEventScheduledAfterPartialRunDispatchesFirst) {
   EXPECT_GT(sim.engine_stats().spills, 0u);
 }
 
+template <typename Sim>
+void ExpectFiredHandleIsInvalid() {
+  Sim sim;
+  HandleOf<Sim> handle = sim.ScheduleAt(10, []() {});
+  EXPECT_TRUE(handle.valid());
+  sim.RunToCompletion();
+  EXPECT_FALSE(handle.valid());
+  handle.Cancel();  // inert on a fired event
+  EXPECT_EQ(sim.engine_stats().cancelled, 0u);
+}
+
 TEST(Simulator, FiredHandleIsInvalidOnBothEngines) {
-  for (const SimEngine engine :
-       {SimEngine::kTimingWheel, SimEngine::kReference}) {
-    Simulator sim(engine);
-    EventHandle handle = sim.ScheduleAt(10, []() {});
-    EXPECT_TRUE(handle.valid());
-    sim.RunToCompletion();
-    EXPECT_FALSE(handle.valid());
-    handle.Cancel();  // inert on a fired event
-    EXPECT_EQ(sim.engine_stats().cancelled, 0u);
-  }
+  ExpectFiredHandleIsInvalid<Simulator>();
+  ExpectFiredHandleIsInvalid<ReferenceSimulator>();
 }
 
 struct SteadyTick {
@@ -386,7 +403,7 @@ TEST(SimulatorPool, SteadyStateDispatchDoesNotAllocate) {
   const uint64_t wheel_depth = 4 * Simulator::kSpillAt;
   for (const uint64_t depth : {uint64_t{64}, wheel_depth}) {
     SCOPED_TRACE(depth);
-    Simulator sim(SimEngine::kTimingWheel);
+    Simulator sim;
     uint64_t remaining = 20'000;
     uint64_t lcg = 999;
     for (uint64_t i = 0; i < depth; ++i) {
@@ -410,7 +427,7 @@ TEST(SimulatorPool, SteadyStateDispatchDoesNotAllocate) {
 }
 
 TEST(SimulatorPool, LargeCallbacksSpillToHeapAndStillRun) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   // 64 bytes of captured payload: over the inline budget, so the engine
   // heap-boxes the callback and counts it.
   uint64_t payload[8] = {1, 2, 3, 4, 5, 6, 7, 8};
@@ -429,15 +446,16 @@ TEST(SimulatorPool, LargeCallbacksSpillToHeapAndStillRun) {
 // (event identity and final clock) must match exactly. The program mixes
 // same-time ties, nested scheduling from callbacks, cancellations, a
 // partial RunUntil, and far-future times that exercise the overflow heap.
-std::vector<uint64_t> DifferentialTrace(SimEngine engine) {
-  Simulator sim(engine);
+template <typename Sim>
+std::vector<uint64_t> DifferentialTrace() {
+  Sim sim;
   std::vector<uint64_t> trace;
   uint64_t lcg = 0xabcdef12345ull;
   auto rnd = [&lcg]() {
     lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
     return lcg >> 33;
   };
-  std::vector<EventHandle> handles;
+  std::vector<HandleOf<Sim>> handles;
   for (uint64_t id = 0; id < 400; ++id) {
     const Time when = (rnd() % 64) == 0
                           ? 4'500'000'000ull + rnd() % 1'000'000'000ull
@@ -463,8 +481,8 @@ std::vector<uint64_t> DifferentialTrace(SimEngine engine) {
 }
 
 TEST(SimulatorDifferential, WheelMatchesReferenceOnRandomProgram) {
-  EXPECT_EQ(DifferentialTrace(SimEngine::kTimingWheel),
-            DifferentialTrace(SimEngine::kReference));
+  EXPECT_EQ(DifferentialTrace<Simulator>(),
+            DifferentialTrace<ReferenceSimulator>());
 }
 
 // --- heap mode <-> wheel mode ------------------------------------------------
@@ -488,12 +506,13 @@ struct HybridCounts {
   bool stopped = false;
 };
 
-std::vector<uint64_t> HybridTrace(SimEngine engine, HybridCounts* counts) {
-  Simulator sim(engine);
+template <typename Sim>
+std::vector<uint64_t> HybridTrace(HybridCounts* counts) {
+  Sim sim;
   std::vector<uint64_t> trace;
   bool* stopped = &counts->stopped;
   uint64_t lcg = 0x5eed;
-  std::vector<EventHandle> handles;
+  std::vector<HandleOf<Sim>> handles;
   uint64_t next_id = 0;
   auto schedule = [&](Time when) {
     const uint64_t id = next_id++;
@@ -532,17 +551,18 @@ std::vector<uint64_t> HybridTrace(SimEngine engine, HybridCounts* counts) {
   sim.RunToCompletion();
   trace.push_back(sim.Now());
   trace.push_back(sim.engine_stats().dispatched);
-  counts->spills = sim.engine_stats().spills;
-  counts->collapses = sim.engine_stats().collapses;
+  if constexpr (std::is_same_v<Sim, Simulator>) {
+    counts->spills = sim.engine_stats().spills;
+    counts->collapses = sim.engine_stats().collapses;
+  }
   return trace;
 }
 
 TEST(SimulatorHybrid, MatchesReferenceAcrossManySpillsAndCollapses) {
   HybridCounts counts;
-  const std::vector<uint64_t> wheel =
-      HybridTrace(SimEngine::kTimingWheel, &counts);
+  const std::vector<uint64_t> wheel = HybridTrace<Simulator>(&counts);
   HybridCounts reference;
-  EXPECT_EQ(wheel, HybridTrace(SimEngine::kReference, &reference));
+  EXPECT_EQ(wheel, HybridTrace<ReferenceSimulator>(&reference));
   EXPECT_TRUE(counts.stopped);
   EXPECT_GE(counts.spills, 30u);
   EXPECT_GE(counts.collapses, 30u);
@@ -558,7 +578,7 @@ struct Background {
 };
 
 TEST(SimulatorHybrid, OscillatingSteadyStateDoesNotAllocate) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   uint64_t lcg = 42;
   // 20 pending in the background (under kCollapseAt, so each collapse moves
   // them); every cycle adds a burst of 150 that spills and then drains.
@@ -590,13 +610,13 @@ TEST(SimulatorHybrid, NextEventTimeIsExactInBothModes) {
   // step the pooled engine's NextEventTime must equal the reference heap's
   // top (live or cancelled), in heap mode, in wheel mode and right after a
   // collapse.
-  Simulator wheel(SimEngine::kTimingWheel);
-  Simulator ref(SimEngine::kReference);
+  Simulator wheel;
+  ReferenceSimulator ref;
   EXPECT_EQ(wheel.NextEventTime(), Simulator::kNoEventTime);
-  EXPECT_EQ(ref.NextEventTime(), Simulator::kNoEventTime);
+  EXPECT_EQ(ref.NextEventTime(), ReferenceSimulator::kNoEventTime);
   uint64_t lcg = 77;
   std::vector<EventHandle> wheel_handles;
-  std::vector<EventHandle> ref_handles;
+  std::vector<ReferenceSimulator::Handle> ref_handles;
   int checked_after_collapse = 0;
   int checked_in_wheel_mode = 0;
   for (int step = 0; step < 600; ++step) {
@@ -631,7 +651,7 @@ TEST(SimulatorHybrid, NextEventTimeIsExactInBothModes) {
 TEST(SimulatorHybrid, NextEventTimeCollapsesAfterStop) {
   // A Stop() that leaves at most kCollapseAt pending in wheel mode exits
   // before the run loop's refill; NextEventTime then does the collapse.
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   const Time last = 1'000 * (Simulator::kSpillAt + 1);
   for (Time when = 1'000; when <= last; when += 1'000) {
     sim.ScheduleAt(when, [&sim, when, last]() {
@@ -651,7 +671,7 @@ TEST(SimulatorHybrid, NextEventTimeCollapsesAfterStop) {
 }
 
 TEST(SimulatorHybrid, SpillAndCollapseCountsAreExact) {
-  Simulator sim(SimEngine::kTimingWheel);
+  Simulator sim;
   // One event per 1 us, so every level-0 tick holds at most one event and
   // the ready heap empties after each dispatch.
   Time next = 0;
@@ -692,16 +712,6 @@ TEST(SimulatorHybrid, SpillAndCollapseCountsAreExact) {
   // An empty engine stays in heap mode.
   sim.RunUntil(next + 1'000'000);
   EXPECT_EQ(stats(), (std::vector<uint64_t>{2, 2}));
-}
-
-TEST(Simulator, DefaultEngineOverrideIsHonored) {
-  Simulator::SetDefaultEngine(SimEngine::kReference);
-  Simulator ref_sim;
-  EXPECT_EQ(ref_sim.engine(), SimEngine::kReference);
-  Simulator::SetDefaultEngine(SimEngine::kTimingWheel);
-  Simulator wheel_sim;
-  EXPECT_EQ(wheel_sim.engine(), SimEngine::kTimingWheel);
-  Simulator::ResetDefaultEngine();
 }
 
 }  // namespace
